@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .core import Boundary, ModelParams, SpinTape, decode_state, encode_state, magnetization_vector
-from .dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
+from .dynamics import _stepped, build_generator, point_mass, uniform_distribution
 from .thermo import gamma_from_temperature, thermo_report
 from .verify import run_verify
 from .voter import TuringVoter
@@ -204,16 +204,19 @@ def cmd_exact(args: argparse.Namespace) -> int:
         p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary, None)), n)
     if args.t_steps < 1:
         raise ValueError("--t-steps must be at least 1")
+    if args.t_end < 0:
+        raise ValueError("--t-end must be nonnegative")
     times = np.linspace(0.0, args.t_end, args.t_steps + 1)
     m = magnetization_vector(n)
     d = args.digits
+    # one template per time block, filled with (time, probability) per state
+    block = "\n".join(f"%s,{idx},%.{d}g" for idx in range(2**n))
     dist_lines = _header(args) + ["time,state_index,probability"]
     summary_lines = _header(args) + ["time,mean_magnetization"]
-    for t in times:
-        p = evolve_exact(p0, gen, float(t))
-        clipped = np.clip(p, 0.0, None)
-        for idx in range(2**n):
-            dist_lines.append(f"{_fmt(t, d)},{idx},{_fmt(clipped[idx], d)}")
+    for t, p in zip(times, _stepped(p0, gen, times)):
+        fields = [_fmt(t, d), 0.0] * 2**n
+        fields[1::2] = np.clip(p, 0.0, None).tolist()
+        dist_lines.append(block % tuple(fields))
         summary_lines.append(f"{_fmt(t, d)},{_fmt(float(m @ p), d)}")
     _write_text(args.out, dist_lines)
     summary_out = _summary_path(args.out)

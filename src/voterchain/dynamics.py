@@ -155,11 +155,6 @@ def uniform_distribution(n: int) -> np.ndarray:
     return np.full(2**n, 1.0 / 2**n)
 
 
-def clamp_probabilities(p: np.ndarray) -> np.ndarray:
-    """Zero out roundoff-negative entries for output."""
-    return np.clip(p, 0.0, None)
-
-
 def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     """Propagate P(t) = exp(G t) P(0) by the scaled matrix-exponential action.
 
@@ -174,6 +169,17 @@ def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     if t == 0:
         return p0.copy()
     return expm_multiply(gen.matrix * t, p0)
+
+
+def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
+    """Yield P(t) at each of the ascending `times`, reaching each one from the
+    previous one, so the propagated time totals the last time rather than the
+    sum of all of them.  Only the current vector is kept."""
+    p, last = p0, 0.0
+    for t in times:
+        p = evolve_exact(p, gen, t - last)
+        last = t
+        yield p
 
 
 def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
@@ -246,9 +252,18 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
 
 def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,
                              times: np.ndarray | list[float]) -> np.ndarray:
-    """<m>(t) = sum_sigma magnetization(sigma) P_sigma(t) at each requested time."""
+    """<m>(t) = sum_sigma magnetization(sigma) P_sigma(t) at each requested time.
+
+    The times may come in any order and repeat; they are visited in ascending
+    order and the results are returned in the order given.
+    """
     m = magnetization_vector(gen.n_sites)
-    return np.array([float(m @ evolve_exact(p0, gen, float(t))) for t in times])
+    times = np.asarray(times, dtype=np.float64)
+    order = np.argsort(times, kind="stable")
+    curve = np.empty(times.size)
+    for k, p in zip(order, _stepped(p0, gen, times[order])):
+        curve[k] = m @ p
+    return curve
 
 
 def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:

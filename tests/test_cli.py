@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from voterchain.cli import main
+from voterchain.core import Boundary, ModelParams, magnetization_vector
+from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
 from voterchain.thermo import thermo_report
 
 
@@ -130,6 +132,69 @@ def test_exact_long_time_reaches_coin_flip_equilibrium(tmp_path):
     last = {row.split(",")[1]: float(row.split(",")[2]) for row in rows[-2:]}
     assert last["0"] == pytest.approx(0.5, abs=1e-8)
     assert last["1"] == pytest.approx(0.5, abs=1e-8)
+
+
+def _exact_setup(n, gamma, boundary, init):
+    gen = build_generator(n, ModelParams.from_gamma(gamma, boundary=Boundary(boundary)))
+    if init == "uniform":
+        return gen, uniform_distribution(n)
+    return gen, point_mass(int(init.split(":")[1]), n)
+
+
+@pytest.mark.parametrize("digits", [9, 17])
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("gamma", [-1.0, 0.5, 1.0])
+@pytest.mark.parametrize("init", ["uniform", "index:11"])
+def test_exact_single_step_bytes_match_direct_evolution(tmp_path, digits, boundary, gamma, init):
+    # with one interval the stepped grid reaches t_end in one step from p0,
+    # so the file must equal one evolve_exact call formatted row by row
+    n, t_end = 5, 1.3
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", str(n), "--gamma", str(gamma), "--boundary", boundary,
+                 "--init", init, "--t-end", str(t_end), "--t-steps", "1",
+                 "--digits", str(digits), "--out", str(out)]) == 0
+    gen, p0 = _exact_setup(n, gamma, boundary, init)
+    m = magnetization_vector(n)
+    d = digits
+    dist, summary = ["time,state_index,probability"], ["time,mean_magnetization"]
+    for t, p in ((0.0, p0), (t_end, evolve_exact(p0, gen, t_end))):
+        dist += [f"{t:.{d}g},{i},{v:.{d}g}" for i, v in enumerate(np.clip(p, 0.0, None))]
+        summary.append(f"{t:.{d}g},{float(m @ p):.{d}g}")
+    assert _data_lines(out) == dist
+    assert _data_lines(tmp_path / "x.summary.csv") == summary
+
+
+def test_exact_stepped_grid_matches_restarts(tmp_path):
+    n, gamma, t_end, steps = 6, 0.5, 4.0, 13
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", str(n), "--gamma", str(gamma), "--init", "index:37",
+                 "--t-end", str(t_end), "--t-steps", str(steps), "--digits", "17",
+                 "--out", str(out)]) == 0
+    table = np.array([row.split(",") for row in _data_lines(out)[1:]], dtype=np.float64)
+    gen, p0 = _exact_setup(n, gamma, "periodic", "index:37")
+    times = np.linspace(0.0, t_end, steps + 1)
+    blocks = table.reshape(times.size, 2**n, 3)
+    for t, block in zip(times, blocks):
+        assert np.all(block[:, 0] == t)
+        assert np.array_equal(block[:, 1], np.arange(2**n))
+        assert np.abs(block[:, 2] - evolve_exact(p0, gen, t)).max() <= 1e-12
+
+
+def test_exact_zero_end_time_repeats_start(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "3", "--gamma", "0.5", "--init", "index:5",
+                 "--t-end", "0", "--t-steps", "4", "--out", str(out)]) == 0
+    rows = _data_lines(out)[1:]
+    expected = [f"0,{i},{1 if i == 5 else 0}" for i in range(8)]
+    assert rows == expected * 5
+
+
+def test_exact_rejects_negative_end_time(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "3", "--gamma", "0.5", "--t-end", "-1",
+                 "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
 
 
 def test_exact_rejects_oversized_chain():

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from voterchain.core import Boundary, ModelParams, SpinTape, decode_state, encode_state
+from voterchain.core import (
+    Boundary,
+    ModelParams,
+    SpinTape,
+    decode_state,
+    encode_state,
+    magnetization_vector,
+)
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
+    _stepped,
     build_generator,
     column_sum_residual,
     detailed_balance_residual,
@@ -205,6 +215,40 @@ def test_mean_magnetization_curve():
     voter = build_generator(4, ModelParams.from_gamma(1.0))
     conserved = mean_magnetization_curve(point_mass(1, 4), voter, times)
     assert np.abs(conserved - conserved[0]).max() <= 1e-12
+
+
+def test_mean_magnetization_curve_any_time_order():
+    gen = build_generator(5, ModelParams.from_gamma(0.4))
+    p0 = point_mass(22, 5)
+    times = [2.0, 0.0, 0.7, 2.0, 0.3, 0.7]
+    curve = mean_magnetization_curve(p0, gen, times)
+    ordered = mean_magnetization_curve(p0, gen, sorted(times))
+    assert np.array_equal(curve[np.argsort(times, kind="stable")], ordered)
+    assert curve[1] == pytest.approx(0.2, abs=1e-15)
+    assert curve[0] == curve[3] and curve[2] == curve[5]
+    assert mean_magnetization_curve(p0, gen, []).shape == (0,)
+    with pytest.raises(ValueError):
+        mean_magnetization_curve(p0, gen, [1.0, -0.5, 2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)), uniform=st.booleans(),
+       times=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6), data=st.data())
+def test_stepping_matches_restarts(n, gamma, boundary, uniform, times, data):
+    gen = build_generator(n, ModelParams.from_gamma(gamma, boundary=boundary))
+    if uniform:
+        p0 = uniform_distribution(n)
+    else:
+        p0 = point_mass(data.draw(st.integers(0, 2**n - 1)), n)
+    restarts = [evolve_exact(p0, gen, t) for t in times]
+    m = magnetization_vector(n)
+    curve = mean_magnetization_curve(p0, gen, times)
+    assert np.abs(curve - np.array([m @ p for p in restarts])).max() <= 1e-12
+    order = np.argsort(times, kind="stable")
+    for k, p in zip(order, _stepped(p0, gen, np.asarray(times)[order])):
+        assert np.abs(p - restarts[k]).max() <= 1e-12
+        assert abs(float(p.sum()) - 1.0) <= 1e-12
 
 
 def test_relaxation_rate_tracks_gamma():
