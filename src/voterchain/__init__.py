@@ -1,12 +1,13 @@
 """Voter-style tape machine on a spin chain.
 
 One flip rule drives everything: a cell copies the bias of its neighbors at
-rate 1/2 [1 - (gamma/2) x_i (x_{i-1} + x_{i+1})].  The package provides the
-discrete seeded machine (`voter`), the exact continuous-time evolution and
-trajectory sampling over all 2^N configurations (`dynamics`), closed-form and
-enumerated chain thermodynamics with the bit-erasure floor (`thermo`), and a
-suite of named cross-checks between the routes (`verify`), all behind a CSV
-command-line harness (`cli`).
+rate 1/2 [1 - (gamma/2) x_i (x_{i-1} + x_{i+1})], written once in
+`dynamics.rates`.  The package provides the discrete seeded machine
+(`voter`), the exact continuous-time evolution and trajectory sampling over
+all 2^N configurations (`dynamics`), closed-form and enumerated chain
+thermodynamics with the bit-erasure floor (`thermo`), and a suite of named
+cross-checks between the routes (`verify`), all behind a CSV command-line
+harness (`cli`).
 """
 
 __version__ = "0.1.0"
@@ -28,6 +29,7 @@ from .dynamics import (
     evolve_exact,
     kmc_sample,
     mean_magnetization_curve,
+    rates,
     stationary_distributions,
 )
 from .thermo import (
@@ -35,14 +37,13 @@ from .thermo import (
     entropy,
     erasure_energy,
     free_energy,
-    gamma_from_temperature,
     gibbs_brute_force,
     landauer_floor,
     landauer_gap,
     thermo_report,
 )
 from .verify import CheckResult, run_verify
-from .voter import Outcome, Status, StepEvent, TuringVoter, flip_probability
+from .voter import Outcome, Status, StepEvent, TuringVoter
 
 __all__ = [
     "Boundary",
@@ -64,9 +65,7 @@ __all__ = [
     "entropy",
     "erasure_energy",
     "evolve_exact",
-    "flip_probability",
     "free_energy",
-    "gamma_from_temperature",
     "gibbs_brute_force",
     "hamiltonian",
     "kmc_sample",
@@ -74,6 +73,7 @@ __all__ = [
     "landauer_gap",
     "magnetization",
     "mean_magnetization_curve",
+    "rates",
     "run_verify",
     "stationary_distributions",
     "thermo_report",

@@ -12,6 +12,7 @@ override it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,11 +22,9 @@ import numpy as np
 from . import __version__
 from .core import Boundary, ModelParams, SpinTape, decode_state, encode_state, magnetization_vector
 from .dynamics import _stepped, build_generator, point_mass, uniform_distribution
-from .thermo import gamma_from_temperature, thermo_report
+from .thermo import SI_BOLTZMANN, thermo_report
 from .verify import run_verify
-from .voter import TuringVoter
-
-SI_BOLTZMANN = 1.380649e-23
+from .voter import Outcome, TuringVoter
 
 _HEADER_SKIP = {"func", "command", "config", "out", "events", "seed", "workers"}
 
@@ -106,7 +105,7 @@ def _initial_tape(spec: str, n: int, boundary: Boundary,
 
 def _thermo_row(n: int, coupling: float, temperature: float, k: float, digits: int) -> str:
     rep = thermo_report(n, coupling, temperature, k)
-    gamma = gamma_from_temperature(coupling, temperature, k)
+    gamma = ModelParams.from_physical(coupling, temperature, k).gamma
     fields = [str(n)] + [
         _fmt(v, digits)
         for v in (coupling, temperature, k, gamma, rep.free_energy, rep.internal_energy,
@@ -130,24 +129,16 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_trajectory(payload) -> tuple[bool, int | None, int, float, list | None]:
+def _run_trajectory(payload) -> tuple[int, Outcome]:
+    """One seeded run: the start tape's symbol sum and the outcome, whose
+    flip records are kept only for an event log."""
     init, n, params, max_steps, child, want_events = payload
     rng = np.random.default_rng(child)
     tape = _initial_tape(init, n, params.boundary, rng)
-    machine = TuringVoter(tape, params, rng)
-    events: list | None = [] if want_events else None
-    msum = int(tape.symbols.sum(dtype=np.int64))
-    spent = 0
-    while not machine.is_consensus() and spent < max_steps:
-        ev = machine.step()
-        spent += 1
-        if ev.flipped:
-            msum += 2 * ev.new_symbol
-            if events is not None:
-                events.append((machine.time, ev.site, ev.new_symbol, msum / n))
-    halted = machine.is_consensus()
-    symbol = int(machine.tape.symbols[0]) if halted else None
-    return halted, symbol, machine.step_count, msum / n, events
+    outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps)
+    if not want_events:
+        outcome = dataclasses.replace(outcome, flips=())
+    return int(tape.symbols.sum(dtype=np.int64)), outcome
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -172,16 +163,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         results = [_run_trajectory(p) for p in payloads]
     d = args.digits
     lines = _header(args) + ["trajectory_id,halted,consensus_symbol,steps,final_magnetization"]
-    for i, (halted, symbol, steps, final_m, _) in enumerate(results):
-        sym = "" if symbol is None else str(symbol)
-        lines.append(f"{i},{'true' if halted else 'false'},{sym},{steps},{_fmt(final_m, d)}")
+    for i, (_, out) in enumerate(results):
+        sym = "" if out.consensus_symbol is None else str(out.consensus_symbol)
+        final_m = int(out.final_tape.symbols.sum(dtype=np.int64)) / n
+        lines.append(f"{i},{'true' if out.halted else 'false'},{sym},{out.steps},{_fmt(final_m, d)}")
     _write_text(args.out, lines)
     if want_events:
+        # event time is step / N; the magnetization is carried from the start tape
         ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
-        for i, (_, _, _, _, events) in enumerate(results):
+        for i, (msum, out) in enumerate(results):
             ev_lines.append(f"# trajectory {i}")
-            for t, site, sym, m in events:
-                ev_lines.append(f"{_fmt(t, d)},{site},{sym},{_fmt(m, d)}")
+            for step, site, sym in out.flips:
+                msum += 2 * sym
+                ev_lines.append(f"{_fmt(step / n, d)},{site},{sym},{_fmt(msum / n, d)}")
         _write_text(args.events, ev_lines)
     return 0
 

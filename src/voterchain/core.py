@@ -63,10 +63,8 @@ class SpinTape:
 class ModelParams:
     """Dynamics parameters: a bias gamma in [-1, 1], optionally tied to a
     physical (coupling, temperature, boltzmann) triple via
-    gamma = tanh(2 * coupling / (boltzmann * temperature)).
-
-    The static field h is carried for energy bookkeeping only; stochastic
-    dynamics require h = 0.
+    gamma = tanh(2 * coupling / (boltzmann * temperature)).  The dynamics
+    have no field; `hamiltonian` and `state_energies` take one separately.
     """
 
     gamma: float
@@ -74,7 +72,6 @@ class ModelParams:
     coupling: float | None = None
     temperature: float | None = None
     boltzmann: float | None = None
-    h: float = 0.0
 
     def __post_init__(self):
         if not abs(self.gamma) <= 1.0:
@@ -93,20 +90,19 @@ class ModelParams:
                 )
 
     @classmethod
-    def from_gamma(cls, gamma: float, boundary: Boundary = Boundary.PERIODIC,
-                   h: float = 0.0) -> ModelParams:
-        return cls(gamma=float(gamma), boundary=boundary, h=h)
+    def from_gamma(cls, gamma: float, boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
+        return cls(gamma=float(gamma), boundary=boundary)
 
     @classmethod
     def from_physical(cls, coupling: float, temperature: float, boltzmann: float = 1.0,
-                      boundary: Boundary = Boundary.PERIODIC, h: float = 0.0) -> ModelParams:
+                      boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
         if temperature <= 0.0:
             raise ValueError("temperature must be positive")
         if boltzmann <= 0.0:
             raise ValueError("boltzmann must be positive")
         gamma = math.tanh(2.0 * coupling / (boltzmann * temperature))
         return cls(gamma=gamma, boundary=boundary, coupling=float(coupling),
-                   temperature=float(temperature), boltzmann=float(boltzmann), h=h)
+                   temperature=float(temperature), boltzmann=float(boltzmann))
 
     @property
     def has_temperature(self) -> bool:

@@ -11,7 +11,12 @@ which balances the single bond.  The tanh factor is computed from gamma alone
 as gamma / (1 + sqrt(1 - gamma^2)), so it needs no physical triple and equals
 1 at gamma = 1 (uniform tapes stay absorbing on open chains).  A single
 periodic cell is its own left and right neighbor, giving w = (1 - gamma)/2;
-a single open cell has no neighbors and rate 1/2.
+a single open cell has no neighbors and rate 1/2.  `rates` is the one place
+this rule is written; the generator, the detailed-balance residual and both
+samplers read their rates from it.  The samplers keep each site's rate and
+refresh only the flipped site and its two neighbours, by a per-site lookup on
+the (left, self, right) symbols that is read off `rates` once per chain size
+and parameters.
 
 The probability vector over the 2^N configurations obeys dP/dt = G P with
 the generator G holding the rate from sigma to sigma' at entry
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -68,68 +74,81 @@ class Trajectory:
         return SpinTape(s, self.initial.boundary)
 
 
-def _require_zero_field(params: ModelParams) -> None:
-    if params.h != 0.0:
-        raise ValueError("dynamics require h = 0 (field supported statically only)")
+def rates(spins, params: ModelParams) -> np.ndarray:
+    """Flip rate w_i of every site, over the last axis of a +-1 array.
 
-
-def _endpoint_factor(params: ModelParams) -> float:
-    # single-bond coupling weight at an open end: tanh(J/kT) expressed through
-    # gamma = tanh(2J/kT) via the half-angle identity, so it exists without the
-    # physical triple and reaches exactly 1 at gamma = 1
-    g = params.gamma
-    return g / (1.0 + math.sqrt(1.0 - g * g))
-
-
-def site_rates(tape: SpinTape, params: ModelParams) -> np.ndarray:
-    """Flip rate w_i at every site of one configuration."""
-    _require_zero_field(params)
-    s = tape.symbols.astype(np.float64)
-    n = tape.n
-    if tape.boundary is Boundary.PERIODIC:
-        nbr = np.roll(s, 1) + np.roll(s, -1)
-        return 0.5 * (1.0 - 0.5 * params.gamma * s * nbr)
-    w = np.empty(n)
-    if n == 1:
-        w[0] = 0.5
-        return w
-    w[1:-1] = 0.5 * (1.0 - 0.5 * params.gamma * s[1:-1] * (s[:-2] + s[2:]))
-    fac = _endpoint_factor(params)
-    w[0] = 0.5 * (1.0 - fac * s[0] * s[1])
-    w[-1] = 0.5 * (1.0 - fac * s[-1] * s[-2])
-    return w
-
-
-def glauber_rate(tape: SpinTape, site: int, params: ModelParams) -> float:
-    """Flip rate of one site; see the module docstring for the endpoint rule."""
-    if not 0 <= site < tape.n:
-        raise ValueError(f"site {site} out of range for {tape.n} cells")
-    return float(site_rates(tape, params)[site])
-
-
-def rates_table(n: int, params: ModelParams) -> np.ndarray:
-    """(2^n, n) array of flip rates for every configuration and site."""
-    _require_zero_field(params)
-    s = spin_table(n).astype(np.float64)
+    One tape gives its n rates, spin_table(n) gives the (2^n, n) table, and
+    any stack of tapes gives one row of rates per tape.  This is the only
+    place the flip rule and its open-chain endpoint rule are written.
+    """
+    s = np.asarray(spins, dtype=np.float64)
+    coef = np.full(s.shape[-1], 0.5 * params.gamma)
     if params.boundary is Boundary.PERIODIC:
-        nbr = np.roll(s, 1, axis=1) + np.roll(s, -1, axis=1)
-        return 0.5 * (1.0 - 0.5 * params.gamma * s * nbr)
-    w = np.empty_like(s)
-    if n == 1:
-        w[:] = 0.5
-        return w
-    w[:, 1:-1] = 0.5 * (1.0 - 0.5 * params.gamma * s[:, 1:-1] * (s[:, :-2] + s[:, 2:]))
-    fac = _endpoint_factor(params)
-    w[:, 0] = 0.5 * (1.0 - fac * s[:, 0] * s[:, 1])
-    w[:, -1] = 0.5 * (1.0 - fac * s[:, -1] * s[:, -2])
-    return w
+        ends = s[..., -1:], s[..., :1]
+    else:
+        # a missing neighbour counts 0; an end's single bond is weighted by
+        # tanh(J/kT), written through gamma = tanh(2J/kT) by the half-angle
+        # identity so it needs no physical triple and reaches 1 at gamma = 1
+        ends = (np.zeros_like(s[..., :1]),) * 2
+        g = params.gamma
+        coef[0] = coef[-1] = g / (1.0 + math.sqrt(1.0 - g * g))
+    padded = np.concatenate([ends[0], s, ends[1]], axis=-1)
+    return 0.5 * (1.0 - coef * s * (padded[..., :-2] + padded[..., 2:]))
+
+
+def _neighbourhoods(spins) -> np.ndarray:
+    """Code 4 l + 2 c + r of each site's (left, self, right) symbols, read
+    cyclically over the last axis, with bit 1 for a +1 symbol."""
+    b = (np.asarray(spins) > 0).astype(np.int64)
+    padded = np.concatenate([b[..., -1:], b, b[..., :1]], axis=-1)
+    return 4 * padded[..., :-2] + 2 * b + padded[..., 2:]
+
+
+@lru_cache(maxsize=32)
+def _rate_lookup(n: int, params: ModelParams) -> tuple[tuple[float, ...], ...]:
+    """Per-site rate by neighbourhood code, read off `rates` on probe tapes.
+
+    Cell j of probe k holds bit (j mod 3) of k, so over k = 0..7 every site
+    off the wrap-around sees all eight neighbourhoods; eight more probes
+    rolled by n // 2 move the two wrap-around sites inside.  Sites with equal
+    rows share one tuple (the rate classes), so a table costs one reference
+    per site.  Codes a chain of one or two cells cannot show stay 0.
+    """
+    bits = (np.arange(8)[:, None] >> (np.arange(n) % 3)) & 1
+    probes = 2 * np.concatenate([bits, np.roll(bits, n // 2, axis=1)]) - 1
+    table = np.zeros((n, 8))
+    table[np.arange(n), _neighbourhoods(probes)] = rates(probes, params)
+    classes, row_of = np.unique(table, axis=0, return_inverse=True)
+    rows = [tuple(row) for row in classes.tolist()]
+    return tuple(rows[k] for k in row_of.ravel().tolist())
+
+
+def _live_rates(symbols: np.ndarray, params: ModelParams
+                ) -> tuple[np.ndarray, list[int], tuple[tuple[float, ...], ...]]:
+    """Rates of a tape about to be sampled, with the neighbourhood codes and
+    the lookup table through which `_refresh` keeps them current."""
+    return (rates(symbols, params), _neighbourhoods(symbols).tolist(),
+            _rate_lookup(symbols.size, params))
+
+
+def _refresh(site: int, codes: list[int], w: list[float] | np.ndarray,
+             table: tuple[tuple[float, ...], ...]) -> None:
+    """After `site` flips, update the neighbourhood codes and the rates `w`
+    of the site and its two neighbours."""
+    n = len(codes)
+    left, right = (site - 1) % n, (site + 1) % n
+    codes[left] ^= 1
+    codes[site] ^= 2
+    codes[right] ^= 4
+    for i in (left, site, right):
+        w[i] = table[i][codes[i]]
 
 
 def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     """Assemble the 2^n x 2^n transition-rate operator from single-site rates."""
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
-    w = rates_table(n, params)
+    w = rates(spin_table(n), params)
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
     rows = np.concatenate([idx ^ (1 << i) for i in range(n)])
@@ -240,12 +259,11 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
     """Worst single-flip flux imbalance against the Gibbs weights of the
     chain's own Hamiltonian.  Requires the physical triple, which fixes beta.
     """
-    _require_zero_field(params)
     if not params.has_temperature:
         raise ValueError("detailed balance needs the physical triple (no beta available)")
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
-    w = rates_table(n, params)
+    w = rates(spin_table(n), params)
     energies = state_energies(n, params.coupling, 0.0, params.boundary)
     return flux_residual(w, energies, params.beta)
 
@@ -274,50 +292,22 @@ def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:
     return sparse.identity(dim, format="csc") + gen.matrix * (1.0 / gen.n_sites)
 
 
-def rate_closure(params: ModelParams, n: int):
-    """Scalar site-rate function bound to fixed parameters, for samplers that
-    update one site at a time on a raw symbol array."""
-    gamma_half = 0.5 * params.gamma
-    periodic = params.boundary is Boundary.PERIODIC
-
-    if periodic:
-        def rate(s: np.ndarray, i: int) -> float:
-            nbr = float(s[i - 1]) + float(s[(i + 1) % n])
-            return 0.5 * (1.0 - gamma_half * float(s[i]) * nbr)
-        return rate
-
-    fac = _endpoint_factor(params)
-
-    def rate(s: np.ndarray, i: int) -> float:
-        if n == 1:
-            return 0.5
-        if i == 0:
-            return 0.5 * (1.0 - fac * float(s[0]) * float(s[1]))
-        if i == n - 1:
-            return 0.5 * (1.0 - fac * float(s[-1]) * float(s[-2]))
-        return 0.5 * (1.0 - gamma_half * float(s[i]) * (float(s[i - 1]) + float(s[i + 1])))
-
-    return rate
-
-
 def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,
                seed: int | np.random.SeedSequence | np.random.Generator) -> Trajectory:
     """Exact continuous-time sampling (Gillespie) of the flip process.
 
     Waiting times are exponential at the total rate sum_i w_i of the current
     configuration; the flipped site is drawn proportionally to w_i.
-    Reproducible given the seed.
+    Reproducible given the seed.  The rates are refreshed after each flip
+    as in the discrete machine.
     """
-    _require_zero_field(params)
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if tape0.boundary is not params.boundary:
         raise ValueError("tape and params boundary conditions disagree")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = tape0.n
-    rate = rate_closure(params, n)
-    s = tape0.symbols.astype(np.int8).copy()
-    w = site_rates(SpinTape(s, tape0.boundary), params)
+    w, codes, table = _live_rates(tape0.symbols, params)
     events: list[tuple[float, int]] = []
     t = 0.0
     while True:
@@ -331,12 +321,6 @@ def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,
         site = int(np.searchsorted(np.cumsum(w), u, side="right"))
         if site >= n:
             site = n - 1
-        s[site] = -s[site]
         events.append((t, site))
-        if params.boundary is Boundary.PERIODIC:
-            touched = {(site - 1) % n, site, (site + 1) % n}
-        else:
-            touched = {i for i in (site - 1, site, site + 1) if 0 <= i < n}
-        for i in touched:
-            w[i] = rate(s, i)
+        _refresh(site, codes, w, table)
     return Trajectory(initial=tape0, events=tuple(events), t_end=float(t_end))

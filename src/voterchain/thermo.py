@@ -31,6 +31,8 @@ from .core import Boundary, state_energies
 
 LN2 = math.log(2.0)
 
+SI_BOLTZMANN = 1.380649e-23  # J/K, exact since the 2019 SI
+
 BRUTE_FORCE_SITE_CAP = 16
 
 
@@ -47,13 +49,6 @@ def _check_point(n: int, temperature: float, boltzmann: float) -> None:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if boltzmann <= 0:
         raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
-
-
-def gamma_from_temperature(coupling: float, temperature: float, boltzmann: float = 1.0) -> float:
-    """Dynamics bias tanh(2J/(kT)) for a chain at temperature T."""
-    if temperature <= 0 or boltzmann <= 0:
-        raise ValueError("temperature and boltzmann constant must be positive")
-    return math.tanh(2.0 * coupling / (boltzmann * temperature))
 
 
 def free_energy(n: int, coupling: float, temperature: float, boltzmann: float = 1.0) -> float:
@@ -124,19 +119,27 @@ class GibbsSummary:
     entropy: float
 
 
-def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
-                      h: float = 0.0, boundary: Boundary = Boundary.OPEN) -> GibbsSummary:
-    """Exact enumeration over all 2^n configurations (n <= 16).
-
-    Satisfies F = U - T S up to roundoff by construction.
-    """
+def _gibbs_weights(n: int, coupling: float, temperature: float, boltzmann: float,
+                   h: float, boundary: Boundary) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """beta, the energies of all 2^n configurations, their minimum, and the
+    weights e^{-beta (E - E_min)}, so the largest weight is 1."""
     _check_point(n, temperature, boltzmann)
     if n > BRUTE_FORCE_SITE_CAP:
         raise ValueError(f"enumeration capped at n={BRUTE_FORCE_SITE_CAP}, got {n}")
     beta = 1.0 / (boltzmann * temperature)
     energies = state_energies(n, coupling, h, boundary)
     e_min = energies.min()
-    weights = np.exp(-beta * (energies - e_min))
+    return beta, energies, e_min, np.exp(-beta * (energies - e_min))
+
+
+def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
+                      h: float = 0.0, boundary: Boundary = Boundary.OPEN) -> GibbsSummary:
+    """Exact enumeration over all 2^n configurations (n <= 16).
+
+    Satisfies F = U - T S up to roundoff by construction.
+    """
+    beta, energies, e_min, weights = _gibbs_weights(n, coupling, temperature, boltzmann,
+                                                    h, boundary)
     z_shifted = weights.sum()
     log_z = math.log(z_shifted) - beta * e_min
     p = weights / z_shifted
@@ -154,26 +157,32 @@ def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: fl
 def gibbs_probabilities(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
                         h: float = 0.0, boundary: Boundary = Boundary.OPEN) -> np.ndarray:
     """Gibbs distribution e^{-beta H}/Z over all 2^n configurations, index order."""
-    _check_point(n, temperature, boltzmann)
-    if n > BRUTE_FORCE_SITE_CAP:
-        raise ValueError(f"enumeration capped at n={BRUTE_FORCE_SITE_CAP}, got {n}")
-    beta = 1.0 / (boltzmann * temperature)
-    energies = state_energies(n, coupling, h, boundary)
-    weights = np.exp(-beta * (energies - energies.min()))
+    weights = _gibbs_weights(n, coupling, temperature, boltzmann, h, boundary)[-1]
     return weights / weights.sum()
 
 
-def partition_function_open(n: int, x: float) -> float:
-    """Transfer-matrix closed form 2^N cosh^{N-1}(x) for the open chain, x = J/(kT)."""
-    return math.exp(n * LN2 + (n - 1) * _log_cosh(x))
+def log_partition_open(n: int, x: float) -> float:
+    """ln Z of the transfer-matrix closed form Z = 2^N cosh^{N-1}(x) for the
+    open chain, x = J/(kT)."""
+    return n * LN2 + (n - 1) * _log_cosh(x)
 
 
-def partition_function_periodic(n: int, x: float) -> float:
-    """Transfer-matrix closed form (2 cosh x)^N + (2 sinh x)^N for the ring, x = J/(kT).
+def log_partition_periodic(n: int, x: float) -> float:
+    """ln Z of the transfer-matrix closed form Z = (2 cosh x)^N + (2 sinh x)^N
+    for the ring, x = J/(kT), as N ln(2 cosh x) + ln(1 + tanh(x)^N).
 
-    Oracle cross-check only; the closed-form F and S above are open-chain.
+    The second term's argument lies in (0, 2] for either sign of x and
+    parity of N, so no power of cosh or sinh is ever formed.  Oracle
+    cross-check only; the closed-form F and S above are open-chain.
     """
-    return (2.0 * math.cosh(x)) ** n + (2.0 * math.sinh(x)) ** n
+    ring = n * (LN2 + _log_cosh(x))
+    if x == 0.0:
+        return ring
+    # N ln tanh|x| as -2N atanh(e^{-2|x|}), accurate where tanh|x| rounds to 1
+    log_power = -2.0 * n * math.atanh(math.exp(-2.0 * abs(x)))
+    if x < 0 and n % 2 == 1:
+        return ring + math.log(-math.expm1(log_power))
+    return ring + math.log1p(math.exp(log_power))
 
 
 @dataclass(frozen=True)

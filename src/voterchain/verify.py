@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boundary, ModelParams, SpinTape, encode_state, magnetization_vector, state_energies
+from .core import (
+    Boundary,
+    ModelParams,
+    SpinTape,
+    encode_state,
+    magnetization_vector,
+    spin_table,
+    state_energies,
+)
 from .dynamics import (
     build_generator,
     column_sum_residual,
@@ -25,11 +33,12 @@ from .dynamics import (
     kmc_sample,
     mean_magnetization_curve,
     point_mass,
-    rates_table,
+    rates,
     stationary_distributions,
 )
 from .thermo import (
     LN2,
+    SI_BOLTZMANN,
     entropy,
     erasure_energy,
     free_energy,
@@ -149,7 +158,7 @@ def check_detailed_balance_injected() -> CheckResult:
     flux balance, proving the check can fail."""
     bj = 0.7
     gamma_wrong = math.tanh(2.0 * bj) + 0.05
-    w = rates_table(6, ModelParams.from_gamma(gamma_wrong))
+    w = rates(spin_table(6), ModelParams.from_gamma(gamma_wrong))
     energies = state_energies(6, bj, 0.0, Boundary.PERIODIC)
     residual = flux_residual(w, energies, 1.0)
     return _result("detailed_balance_injected", residual, 1e-12,
@@ -272,7 +281,7 @@ def check_voter_absorbing() -> CheckResult:
     for boundary in (Boundary.PERIODIC, Boundary.OPEN):
         params = ModelParams.from_gamma(1.0, boundary=boundary)
         for n in range(2, 11):
-            w = rates_table(n, params)
+            w = rates(spin_table(n), params)
             worst = max(worst, float(np.abs(w[[0, 2**n - 1], :]).max()))
     return _result("voter_absorbing", worst, 0.0)
 
@@ -360,7 +369,7 @@ def check_relaxation_law() -> CheckResult:
 
 def check_erasure_petabit() -> CheckResult:
     """Minimal energy to erase 10^15 bits at 300 K lands near 2.87 microjoules."""
-    value = erasure_energy(10**15, 300.0, 1.380649e-23)
+    value = erasure_energy(10**15, 300.0, SI_BOLTZMANN)
     lo, hi = 2.8e-6, 2.95e-6
     outside = max(0.0, lo - value, value - hi)
     return _result("erasure_petabit", outside, 0.0,

@@ -1,11 +1,14 @@
 """Discrete-step tape machine driven by the neighbor-majority flip rule.
 
 Each step selects one cell uniformly at random and negates its symbol with
-probability w_i = 1/2 [1 - (gamma/2) x_i (x_{i-1} + x_{i+1})].  At gamma = 1
-this is the classic copy-a-neighbor update; uniform tapes are then absorbing
-and reaching one is the machine's halt (consensus = acceptance).  One step
-advances machine time by 1/N, so a run of about N t steps matches the
-continuous-time evolution of the dynamics module over [0, t].
+probability w_i, the flip rate of `dynamics.rates`: 1/2 [1 - (gamma/2)
+x_i (x_{i-1} + x_{i+1})], with the single-bond rule at open-chain ends.  At
+gamma = 1 this is the classic copy-a-neighbor update; uniform tapes are then
+absorbing and reaching one is the machine's halt (consensus = acceptance).
+One step advances machine time by 1/N, so a run of about N t steps matches
+the continuous-time evolution of the dynamics module over [0, t].  The
+machine keeps every cell's rate and, after a flip, refreshes the flipped
+cell and its two neighbours, as the Gillespie sampler does.
 """
 
 from __future__ import annotations
@@ -15,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boundary, ModelParams, SpinTape
-from .dynamics import rate_closure
+from .core import ModelParams, SpinTape
+from .dynamics import _live_rates, _refresh
 
 
 class Status(enum.Enum):
@@ -36,33 +39,18 @@ class StepEvent:
 
 @dataclass(frozen=True)
 class Outcome:
+    """How a run ended, with one (step, site, new_symbol) record per flip;
+    `step` is the step count just after the flip."""
+
     status: Status
     consensus_symbol: int | None
     steps: int
     final_tape: SpinTape
+    flips: tuple[tuple[int, int, int], ...] = ()
 
     @property
     def halted(self) -> bool:
         return self.status is Status.HALTED
-
-
-def flip_probability(tape: SpinTape, site: int, gamma: float) -> float:
-    """1/2 [1 - (gamma/2) x_site (x_left + x_right)], always in [0, 1].
-
-    A single periodic cell is its own left and right neighbor.  Open-chain
-    endpoints are rejected here; their single-bond rule lives in the
-    dynamics module.
-    """
-    n = tape.n
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} out of range for {n} cells")
-    if abs(gamma) > 1.0:
-        raise ValueError(f"|gamma| must be <= 1, got {gamma}")
-    if tape.boundary is Boundary.OPEN and (site == 0 or site == n - 1):
-        raise ValueError("open-chain endpoint rates follow the dynamics module's single-bond rule")
-    s = tape.symbols
-    nbr = float(s[(site - 1) % n]) + float(s[(site + 1) % n])
-    return 0.5 * (1.0 - 0.5 * gamma * float(s[site]) * nbr)
 
 
 class TuringVoter:
@@ -77,11 +65,10 @@ class TuringVoter:
                  seed: int | np.random.SeedSequence | np.random.Generator) -> None:
         if tape.boundary is not params.boundary:
             raise ValueError("tape and params boundary conditions disagree")
-        if params.h != 0.0:
-            raise ValueError("stepping requires h = 0 (field supported statically only)")
         self.params = params
-        self._s = tape.symbols.astype(np.int8).copy()
-        self._rate = rate_closure(params, tape.n)
+        self._s = tape.symbols.astype(np.int8)
+        w, self._codes, self._table = _live_rates(self._s, params)
+        self._w = w.tolist()
         self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         self.step_count = 0
         self.status = Status.RUNNING
@@ -109,9 +96,10 @@ class TuringVoter:
             raise RuntimeError(f"cannot step a machine with status {self.status.value}")
         site = int(self._rng.integers(self.n))
         u = float(self._rng.random())
-        flipped = u < self._rate(self._s, site)
+        flipped = u < self._w[site]
         if flipped:
             self._s[site] = -self._s[site]
+            _refresh(site, self._codes, self._w, self._table)
         self.step_count += 1
         return StepEvent(site=site, flipped=flipped, new_symbol=int(self._s[site]))
 
@@ -119,32 +107,29 @@ class TuringVoter:
         """Step until the tape is uniform (halt) or the budget runs out.
 
         Consensus is checked before the first step, so an already-uniform
-        tape halts at the current step count.
+        tape halts at the current step count.  Every flip of the run is
+        recorded in the outcome's `flips`.
         """
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         if self.status is not Status.RUNNING:
             raise RuntimeError(f"cannot run a machine with status {self.status.value}")
+        flips = []
         spent = 0
         while True:
             if self.is_consensus():
                 self.status = Status.HALTED
                 self.consensus_symbol = int(self._s[0])
-                return self._outcome()
+                return self._outcome(flips)
             if spent >= max_steps:
                 self.status = Status.EXHAUSTED
-                return self._outcome()
-            self.step()
+                return self._outcome(flips)
+            event = self.step()
             spent += 1
+            if event.flipped:
+                flips.append((self.step_count, event.site, event.new_symbol))
 
-    def _outcome(self) -> Outcome:
+    def _outcome(self, flips: list[tuple[int, int, int]]) -> Outcome:
         return Outcome(status=self.status, consensus_symbol=self.consensus_symbol,
-                       steps=self.step_count, final_tape=self.tape)
+                       steps=self.step_count, final_tape=self.tape, flips=tuple(flips))
 
-
-def voter_step(machine: TuringVoter) -> StepEvent:
-    return machine.step()
-
-
-def run_until_halt(machine: TuringVoter, max_steps: int) -> Outcome:
-    return machine.run_until_halt(max_steps)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from voterchain import cli
 from voterchain.cli import main
 from voterchain.core import Boundary, ModelParams, magnetization_vector
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
@@ -195,6 +196,19 @@ def test_exact_rejects_negative_end_time(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
+
+
+def test_exact_clips_negative_roundoff_in_distribution_only(tmp_path, monkeypatch):
+    # a roundoff-negative entry prints as 0 in the distribution, while the
+    # summary keeps the unclipped mean magnetization m @ p
+    p = np.array([-1e-18, 0.5, 0.5, 1e-18])
+    monkeypatch.setattr(cli, "_stepped", lambda p0, gen, times: (p for _ in times))
+    out = tmp_path / "dist.csv"
+    assert main(["exact", "--n", "2", "--gamma", "0.5", "--t-steps", "1",
+                 "--out", str(out)]) == 0
+    assert _data_lines(out)[1:] == ["0,0,0", "0,1,0.5", "0,2,0.5", "0,3,1e-18",
+                                    "1,0,0", "1,1,0.5", "1,2,0.5", "1,3,1e-18"]
+    assert _data_lines(tmp_path / "dist.summary.csv")[1:] == ["0,2e-18", "1,2e-18"]
 
 
 def test_exact_rejects_oversized_chain():

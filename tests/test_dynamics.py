@@ -13,21 +13,23 @@ from voterchain.core import (
     decode_state,
     encode_state,
     magnetization_vector,
+    spin_table,
 )
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
+    _neighbourhoods,
+    _rate_lookup,
+    _refresh,
     _stepped,
     build_generator,
     column_sum_residual,
     detailed_balance_residual,
     evolve_exact,
     flux_residual,
-    glauber_rate,
     kmc_sample,
     mean_magnetization_curve,
     point_mass,
-    rates_table,
-    site_rates,
+    rates,
     stationary_distributions,
     uniform_distribution,
     uniformized_kernel,
@@ -39,51 +41,92 @@ from voterchain.verify import poisson_z
 def test_rates_unbiased_coin():
     params = ModelParams.from_gamma(0.0)
     for n in (1, 3, 6):
-        assert np.all(rates_table(n, params) == 0.5)
+        assert np.all(rates(spin_table(n), params) == 0.5)
+    assert rates([1, -1, 1, -1], params)[2] == 0.5
 
 
 def test_rates_voter_limit():
     params = ModelParams.from_gamma(1.0)
     tape = SpinTape([1, 1, 1])
-    assert site_rates(tape, params).tolist() == [0.0, 0.0, 0.0]
+    assert rates(tape.symbols, params).tolist() == [0.0, 0.0, 0.0]
     # a fully outvoted cell flips with certainty
-    assert glauber_rate(SpinTape([-1, 1, -1]), 1, params) == 1.0
+    assert rates(SpinTape([-1, 1, -1]).symbols, params)[1] == 1.0
+    # zero neighbor sum: the bias cancels
+    assert rates([1, 1, -1], ModelParams.from_gamma(0.5))[0] == 0.5
 
 
 def test_rates_single_cell():
     # periodic: the cell is its own pair of neighbors
-    assert glauber_rate(SpinTape([1]), 0, ModelParams.from_gamma(0.6)) == pytest.approx(0.2)
+    assert rates([1], ModelParams.from_gamma(0.6))[0] == pytest.approx(0.2)
+    assert rates([1], ModelParams.from_gamma(0.4))[0] == pytest.approx(0.3)
     open_params = ModelParams.from_gamma(0.6, boundary=Boundary.OPEN)
-    assert glauber_rate(SpinTape([1], Boundary.OPEN), 0, open_params) == 0.5
+    assert rates(SpinTape([1], Boundary.OPEN).symbols, open_params).tolist() == [0.5]
 
 
 def test_rates_open_endpoints_use_single_bond_factor():
     params = ModelParams.from_physical(0.7, 1.0, boundary=Boundary.OPEN)
     tape = SpinTape([1, 1, -1], Boundary.OPEN)
-    w = site_rates(tape, params)
+    w = rates(tape.symbols, params)
     fac = math.tanh(0.7)
     assert w[0] == pytest.approx(0.5 * (1 - fac), abs=1e-15)
     assert w[2] == pytest.approx(0.5 * (1 + fac), abs=1e-15)
     # interior cell keeps the two-neighbor rule
     assert w[1] == pytest.approx(0.5, abs=1e-15)
+    interior = rates([1, -1, 1], ModelParams.from_gamma(0.5, boundary=Boundary.OPEN))
+    assert interior[1] == pytest.approx(0.75)
 
 
-def test_rates_table_matches_site_rates():
-    params = ModelParams.from_gamma(0.7, boundary=Boundary.OPEN)
-    table = rates_table(4, params)
-    for idx in range(16):
-        tape = decode_state(idx, 4, Boundary.OPEN)
-        assert np.allclose(table[idx], site_rates(tape, params), atol=1e-15)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)))
+def test_table_rows_match_tape_rates(n, gamma, boundary):
+    # the batch over all states, each single tape and the samplers' lookup
+    # give the same rates, bit for bit
+    params = ModelParams.from_gamma(gamma, boundary=boundary)
+    table = rates(spin_table(n), params)
+    assert table.shape == (2**n, n)
+    lookup = _rate_lookup(n, params)
+    codes = _neighbourhoods(spin_table(n))
+    for idx in range(2**n):
+        tape = decode_state(idx, n, boundary)
+        assert np.array_equal(rates(tape.symbols, params), table[idx])
+        assert [lookup[i][codes[idx, i]] for i in range(n)] == table[idx].tolist()
 
 
-def test_field_is_rejected():
-    params = ModelParams.from_gamma(0.5, h=0.3)
-    with pytest.raises(ValueError):
-        site_rates(SpinTape([1, -1]), params)
-    with pytest.raises(ValueError):
-        build_generator(2, params)
-    with pytest.raises(ValueError):
-        kmc_sample(SpinTape([1, -1]), params, 1.0, 0)
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)))
+def test_rates_lie_in_unit_interval(n, gamma, boundary):
+    table = rates(spin_table(n), ModelParams.from_gamma(gamma, boundary=boundary))
+    assert np.all((table >= 0.0) & (table <= 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)), data=st.data())
+def test_refresh_after_flips_matches_rates(n, gamma, boundary, data):
+    params = ModelParams.from_gamma(gamma, boundary=boundary)
+    s = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
+                 dtype=np.int8)
+    w = rates(s, params).tolist()
+    codes = _neighbourhoods(s).tolist()
+    table = _rate_lookup(n, params)
+    for site in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
+        s[site] = -s[site]
+        _refresh(site, codes, w, table)
+        assert w == rates(s, params).tolist()
+        assert codes == _neighbourhoods(s).tolist()
+
+
+# Beyond |beta J| of about 2.4, rounding gamma = tanh(2 beta J) next to +-1
+# alone moves 1 - |gamma|, and so the small rates, by more than 1e-12.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), beta_j=st.floats(-2.0, 2.0), temperature=st.floats(0.25, 4.0),
+       boltzmann=st.floats(0.5, 2.0), boundary=st.sampled_from(list(Boundary)))
+def test_flux_balances_at_physical_gamma(n, beta_j, temperature, boltzmann, boundary):
+    params = ModelParams.from_physical(beta_j * boltzmann * temperature, temperature,
+                                       boltzmann, boundary=boundary)
+    assert detailed_balance_residual(n, params) <= 1e-12
 
 
 def test_site_cap():
@@ -113,7 +156,7 @@ def test_generator_matches_rate_definition():
         tape = decode_state(idx, 3)
         for site in range(3):
             assert dense[idx ^ (1 << site), idx] == pytest.approx(
-                glauber_rate(tape, site, params), abs=1e-15)
+                rates(tape.symbols, params)[site], abs=1e-15)
 
 
 def test_evolve_exact_t0_and_validation():
@@ -199,7 +242,7 @@ def test_detailed_balance_needs_triple():
 def test_flux_residual_detects_mismatch():
     from voterchain.core import state_energies
     wrong = ModelParams.from_gamma(math.tanh(2.0) * 0.9)
-    w = rates_table(4, wrong)
+    w = rates(spin_table(4), wrong)
     energies = state_energies(4, 1.0, 0.0, Boundary.PERIODIC)
     assert flux_residual(w, energies, 1.0) > 1e-2
 

@@ -1,22 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from voterchain.core import Boundary
+from voterchain.core import Boundary, ModelParams
 from voterchain.thermo import (
     LN2,
     entropy,
     erasure_energy,
     free_energy,
-    gamma_from_temperature,
     gibbs_brute_force,
     gibbs_entropy,
     gibbs_probabilities,
     landauer_floor,
     landauer_gap,
-    partition_function_open,
-    partition_function_periodic,
+    log_partition_open,
+    log_partition_periodic,
     thermo_report,
 )
 
@@ -32,22 +32,13 @@ Z_PER_4_X1 = 121.23293134406595
 PETABIT_J = 2.8709788850787237e-06
 
 
-def test_gamma_from_temperature():
-    assert gamma_from_temperature(0.0, 1.0) == 0.0
-    assert gamma_from_temperature(1.0, 2.0) == pytest.approx(TANH1, abs=1e-15)
-    assert gamma_from_temperature(1.0, 1.0) == pytest.approx(TANH2, abs=1e-15)
-    assert gamma_from_temperature(500.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        gamma_from_temperature(1.0, 0.0)
-    with pytest.raises(ValueError):
-        gamma_from_temperature(1.0, 1.0, boltzmann=-1.0)
-
-
 def test_gamma_odd_and_increasing_in_coupling():
+    def gamma(coupling):
+        return ModelParams.from_physical(coupling, 1.0).gamma
     xs = np.linspace(-4.0, 4.0, 41)
-    values = [gamma_from_temperature(x, 1.0) for x in xs]
+    values = [gamma(x) for x in xs]
     for x, v in zip(xs, values):
-        assert v == pytest.approx(-gamma_from_temperature(-x, 1.0), abs=1e-15)
+        assert v == pytest.approx(-gamma(-x), abs=1e-15)
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -104,8 +95,20 @@ def test_erasure_energy():
 
 
 def test_partition_functions():
-    assert partition_function_open(2, 1.0) == pytest.approx(Z_OPEN_2_X1, rel=1e-14)
-    assert partition_function_periodic(4, 1.0) == pytest.approx(Z_PER_4_X1, rel=1e-14)
+    assert log_partition_open(2, 1.0) == pytest.approx(math.log(Z_OPEN_2_X1), rel=1e-14)
+    assert log_partition_periodic(4, 1.0) == pytest.approx(math.log(Z_PER_4_X1), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 10**6, 10**6 + 1])
+def test_log_partition_functions_at_large_n(n):
+    # Z itself overflows a float from about N = 630 at x = 1; ln Z does not
+    mpmath.mp.dps = 50
+    for x in (-2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5):
+        xm = mpmath.mpf(x)
+        ring = mpmath.log((2 * mpmath.cosh(xm)) ** n + (2 * mpmath.sinh(xm)) ** n)
+        chain = n * mpmath.log(2) + (n - 1) * mpmath.log(mpmath.cosh(xm))
+        assert log_partition_periodic(n, x) == pytest.approx(float(ring), rel=1e-14)
+        assert log_partition_open(n, x) == pytest.approx(float(chain), rel=1e-14)
 
 
 def test_brute_force_partition_function_open():
@@ -113,14 +116,15 @@ def test_brute_force_partition_function_open():
     assert summary.partition_function == pytest.approx(4 * math.cosh(1.0), rel=1e-13)
     for n in (1, 3, 6):
         z = gibbs_brute_force(n, 0.8, 1.0).partition_function
-        assert z == pytest.approx(partition_function_open(n, 0.8), rel=1e-12)
+        assert math.log(z) == pytest.approx(log_partition_open(n, 0.8), abs=1e-12)
 
 
 def test_brute_force_partition_function_periodic():
     summary = gibbs_brute_force(4, 1.0, 1.0, boundary=Boundary.PERIODIC)
     assert summary.partition_function == pytest.approx(Z_PER_4_X1, rel=1e-13)
-    z5 = gibbs_brute_force(5, -0.6, 1.0, boundary=Boundary.PERIODIC).partition_function
-    assert z5 == pytest.approx(partition_function_periodic(5, -0.6), rel=1e-12)
+    for n, x in ((5, -0.6), (6, -0.6), (7, 1.3), (3, -2.0)):
+        z = gibbs_brute_force(n, x, 1.0, boundary=Boundary.PERIODIC).partition_function
+        assert math.log(z) == pytest.approx(log_partition_periodic(n, x), abs=1e-12)
 
 
 def test_brute_force_single_cell():

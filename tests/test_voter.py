@@ -6,46 +6,12 @@ import pytest
 from voterchain.core import Boundary, ModelParams, SpinTape, encode_state
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniformized_kernel
 from voterchain.verify import multinomial_z
-from voterchain.voter import Outcome, Status, TuringVoter, flip_probability, run_until_halt, voter_step
-
-
-def test_flip_probability_examples():
-    assert flip_probability(SpinTape([1, 1, 1]), 1, 1.0) == 0.0
-    assert flip_probability(SpinTape([-1, 1, -1]), 1, 1.0) == 1.0
-    assert flip_probability(SpinTape([1, -1, 1, -1]), 2, 0.0) == 0.5
-    # zero neighbor sum: the bias cancels
-    assert flip_probability(SpinTape([1, 1, -1]), 0, 0.5) == 0.5
-    # single periodic cell wraps onto itself
-    assert flip_probability(SpinTape([1]), 0, 0.4) == pytest.approx(0.3)
-
-
-def test_flip_probability_validation():
-    tape = SpinTape([1, -1, 1])
-    with pytest.raises(ValueError):
-        flip_probability(tape, 3, 0.5)
-    with pytest.raises(ValueError):
-        flip_probability(tape, 0, 1.5)
-    open_tape = SpinTape([1, -1, 1], Boundary.OPEN)
-    with pytest.raises(ValueError):
-        flip_probability(open_tape, 2, 0.5)
-    assert flip_probability(open_tape, 1, 0.5) == pytest.approx(0.75)
-
-
-def test_flip_probability_range_exhaustive():
-    for n in range(1, 7):
-        for gamma in (-1.0, -0.4, 0.0, 0.4, 1.0):
-            for idx in range(2**n):
-                tape = SpinTape((np.array([(idx >> i) & 1 for i in range(n)]) * 2 - 1))
-                for site in range(n):
-                    p = flip_probability(tape, site, gamma)
-                    assert 0.0 <= p <= 1.0
+from voterchain.voter import Status, TuringVoter
 
 
 def test_machine_rejects_mismatched_boundary_and_field():
     with pytest.raises(ValueError):
         TuringVoter(SpinTape([1, -1], Boundary.OPEN), ModelParams.from_gamma(0.5), 0)
-    with pytest.raises(ValueError):
-        TuringVoter(SpinTape([1, -1]), ModelParams.from_gamma(0.5, h=0.1), 0)
 
 
 def test_step_counts_and_time():
@@ -103,13 +69,24 @@ def test_run_until_halt_validation_and_terminal_state():
         machine.run_until_halt(10)
 
 
-def test_module_level_wrappers():
-    machine = TuringVoter(SpinTape.alternating(4), ModelParams.from_gamma(0.0), 5)
-    event = voter_step(machine)
-    assert machine.step_count == 1
-    outcome = run_until_halt(machine, 500)
-    assert isinstance(outcome, Outcome)
-    assert outcome.status in (Status.HALTED, Status.EXHAUSTED)
+def test_run_until_halt_records_every_flip():
+    for boundary, budget in ((Boundary.PERIODIC, 400), (Boundary.OPEN, 25)):
+        params = ModelParams.from_gamma(0.5, boundary=boundary)
+        tape = SpinTape.alternating(6, boundary)
+        outcome = TuringVoter(tape, params, 17).run_until_halt(budget)
+        replay = TuringVoter(tape, params, 17)
+        expected = []
+        for _ in range(outcome.steps):
+            event = replay.step()
+            if event.flipped:
+                expected.append((replay.step_count, event.site, event.new_symbol))
+        assert expected and outcome.flips == tuple(expected)
+        s = tape.symbols.copy()
+        for _, site, symbol in outcome.flips:
+            s[site] = symbol
+        assert s.tolist() == outcome.final_tape.symbols.tolist()
+    uniform = SpinTape.uniform(3, 1, Boundary.OPEN)
+    assert TuringVoter(uniform, params, 0).run_until_halt(10).flips == ()
 
 
 def test_consensus_split_two_cells():
