@@ -32,6 +32,19 @@ Z_PER_4_X1 = 121.23293134406595
 PETABIT_J = 2.8709788850787237e-06
 
 
+def test_gamma_from_temperature():
+    def gamma(coupling, temperature, boltzmann=1.0):
+        return ModelParams.from_physical(coupling, temperature, boltzmann=boltzmann).gamma
+    assert gamma(0.0, 1.0) == 0.0
+    assert gamma(1.0, 2.0) == pytest.approx(TANH1, abs=1e-15)
+    assert gamma(1.0, 1.0) == pytest.approx(TANH2, abs=1e-15)
+    assert gamma(500.0, 1.0) == 1.0
+    with pytest.raises(ValueError):
+        gamma(1.0, 0.0)
+    with pytest.raises(ValueError):
+        gamma(1.0, 1.0, boltzmann=-1.0)
+
+
 def test_gamma_odd_and_increasing_in_coupling():
     def gamma(coupling):
         return ModelParams.from_physical(coupling, 1.0).gamma

@@ -4,9 +4,39 @@ import numpy as np
 import pytest
 
 from voterchain.core import Boundary, ModelParams, SpinTape, encode_state
-from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniformized_kernel
+from voterchain.dynamics import build_generator, evolve_exact, point_mass, rates, uniformized_kernel
 from voterchain.verify import multinomial_z
 from voterchain.voter import Status, TuringVoter
+
+
+def _flip(symbols, site, gamma, boundary=Boundary.PERIODIC):
+    # the machine flips the scanned cell with probability w[site]
+    params = ModelParams.from_gamma(gamma, boundary=boundary)
+    return rates(SpinTape(symbols, boundary).symbols, params)[site]
+
+
+def test_flip_probability_examples():
+    assert _flip([1, 1, 1], 1, 1.0) == 0.0
+    assert _flip([-1, 1, -1], 1, 1.0) == 1.0
+    assert _flip([1, -1, 1, -1], 2, 0.0) == 0.5
+    # zero neighbor sum: the bias cancels
+    assert _flip([1, 1, -1], 0, 0.5) == 0.5
+    # single periodic cell wraps onto itself
+    assert _flip([1], 0, 0.4) == pytest.approx(0.3)
+
+
+def test_flip_probability_validation():
+    # |gamma| > 1 is no probability; the params reject it before any rate
+    for gamma in (1.5, -1.5):
+        with pytest.raises(ValueError):
+            ModelParams.from_gamma(gamma)
+    with pytest.raises(IndexError):
+        _flip([1, -1, 1], 3, 0.5)
+    # an open interior cell keeps the two-neighbor rule, and an open end
+    # weighs its one bond by tanh(J/kT) = gamma / (1 + sqrt(1 - gamma^2))
+    assert _flip([1, -1, 1], 1, 0.5, Boundary.OPEN) == pytest.approx(0.75)
+    end = 0.5 / (1.0 + math.sqrt(0.75))
+    assert _flip([1, -1, 1], 2, 0.5, Boundary.OPEN) == pytest.approx(0.5 * (1 + end))
 
 
 def test_machine_rejects_mismatched_boundary_and_field():
