@@ -18,8 +18,6 @@ from .core import (
     SpinTape,
     decode_state,
     encode_state,
-    hamiltonian,
-    magnetization,
 )
 from .dynamics import (
     GeneratorMatrix,
@@ -67,11 +65,9 @@ __all__ = [
     "evolve_exact",
     "free_energy",
     "gibbs_brute_force",
-    "hamiltonian",
     "kmc_sample",
     "landauer_floor",
     "landauer_gap",
-    "magnetization",
     "mean_magnetization_curve",
     "rates",
     "run_verify",

@@ -152,6 +152,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         max_steps = 10_000
     if max_steps < 0:
         raise ValueError("--max-steps must be nonnegative")
+    if args.trajectories < 0:
+        raise ValueError("--trajectories must be nonnegative")
     want_events = args.events is not None
     children = np.random.SeedSequence(args.seed).spawn(args.trajectories)
     payloads = [(args.init, n, params, max_steps, child, want_events) for child in children]

@@ -42,9 +42,6 @@ class SpinTape:
     def n(self) -> int:
         return self.symbols.size
 
-    def is_uniform(self) -> bool:
-        return bool(np.all(self.symbols == self.symbols[0]))
-
     @classmethod
     def uniform(cls, n: int, symbol: int = 1, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
         return cls(np.full(n, symbol, dtype=np.int8), boundary)
@@ -64,7 +61,7 @@ class ModelParams:
     """Dynamics parameters: a bias gamma in [-1, 1], optionally tied to a
     physical (coupling, temperature, boltzmann) triple via
     gamma = tanh(2 * coupling / (boltzmann * temperature)).  The dynamics
-    have no field; `hamiltonian` and `state_energies` take one separately.
+    have no field; `state_energies` takes one separately.
     """
 
     gamma: float
@@ -139,22 +136,14 @@ def spin_table(n: int) -> np.ndarray:
     return table
 
 
-def hamiltonian(tape: SpinTape, coupling: float, h: float = 0.0) -> float:
-    """Chain energy -J * sum_bonds s_i s_{i+1} - h * sum_i s_i.
+def state_energies(n: int, coupling: float, h: float = 0.0,
+                   boundary: Boundary = Boundary.OPEN) -> np.ndarray:
+    """Chain energy -J * sum_bonds s_i s_{i+1} - h * sum_i s_i of all 2^n
+    configurations, index order.
 
     Open boundary sums the N-1 interior bonds; periodic adds the wrap-around
     bond (for N = 1 that bond is the cell with itself, a constant -J).
     """
-    s = tape.symbols.astype(np.float64)
-    bonds = float(np.dot(s[:-1], s[1:]))
-    if tape.boundary is Boundary.PERIODIC:
-        bonds += float(s[-1] * s[0])
-    return -coupling * bonds - h * float(s.sum())
-
-
-def state_energies(n: int, coupling: float, h: float = 0.0,
-                   boundary: Boundary = Boundary.OPEN) -> np.ndarray:
-    """Vector of hamiltonian() over all 2^n configurations, index order."""
     s = spin_table(n).astype(np.float64)
     bonds = (s[:, :-1] * s[:, 1:]).sum(axis=1)
     if boundary is Boundary.PERIODIC:
@@ -162,11 +151,6 @@ def state_energies(n: int, coupling: float, h: float = 0.0,
     return -coupling * bonds - h * s.sum(axis=1)
 
 
-def magnetization(tape: SpinTape) -> float:
-    """Mean symbol (1/N) sum_i s_i, in [-1, 1]."""
-    return float(tape.symbols.mean(dtype=np.float64))
-
-
 def magnetization_vector(n: int) -> np.ndarray:
-    """magnetization() over all 2^n configurations, index order."""
+    """Mean symbol (1/N) sum_i s_i of all 2^n configurations, index order."""
     return spin_table(n).mean(axis=1, dtype=np.float64)

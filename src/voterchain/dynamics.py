@@ -20,7 +20,10 @@ and parameters.
 
 The probability vector over the 2^N configurations obeys dP/dt = G P with
 the generator G holding the rate from sigma to sigma' at entry
-(sigma', sigma); every column sums to zero.
+(sigma', sigma); every column sums to zero.  Its stationary laws are the
+results the machine can settle on: one law per closed class of the flip
+graph, such as the two consensus tapes at gamma = 1 or the two alternating
+tapes of an even ring at gamma = -1, and the single Gibbs law in between.
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply, spsolve
 
 from .core import Boundary, ModelParams, SpinTape, magnetization_vector, spin_table, state_energies
 
 EXACT_SITE_CAP = 14
-
-_ABSORBING_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,8 @@ class GeneratorMatrix:
     """Transition-rate operator over 2^n_sites configurations.
 
     Entry (sigma', sigma) of `matrix` is the flip rate from sigma to sigma';
-    off-diagonals connect configurations differing at exactly one site.
+    off-diagonals connect configurations differing at exactly one site.  Only
+    nonzero rates are stored, so the stored pattern is the flip graph.
     """
 
     n_sites: int
@@ -54,9 +57,6 @@ class GeneratorMatrix:
     @property
     def dim(self) -> int:
         return 2**self.n_sites
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,8 @@ def _refresh(site: int, codes: list[int], w: list[float] | np.ndarray,
 
 def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     """Assemble the 2^n x 2^n transition-rate operator from single-site rates."""
+    if n < 1:
+        raise ValueError(f"a generator needs at least one cell, got n={n}")
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
     w = rates(spin_table(n), params)
@@ -178,14 +180,17 @@ def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     """Propagate P(t) = exp(G t) P(0) by the scaled matrix-exponential action.
 
     Error is controlled near machine precision in max norm (well inside 1e-10);
-    probability mass is conserved up to roundoff.
+    probability mass is conserved up to roundoff.  When t times the largest
+    exit rate is below the smallest normal float (t = 0 included), the step
+    underflows, P(t) differs from P(0) by less than that, and a copy of P(0)
+    is returned.
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
-    if t == 0:
+    if t * np.abs(gen.matrix.diagonal()).max() < np.finfo(np.float64).tiny:
         return p0.copy()
     return expm_multiply(gen.matrix * t, p0)
 
@@ -202,35 +207,39 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
 
 
 def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
-    """Normalized basis of stationary distributions of the generator.
+    """Basis of stationary distributions: one law per closed class.
 
-    Absorbing configurations (zero exit rate) each contribute a point mass;
-    otherwise the chain has a unique stationary distribution, found by
-    solving G p = 0 with one redundant row replaced by normalization.
+    The classes are the strongly connected components of the flip graph (the
+    same for the graph and its transpose, so the generator is labelled as
+    stored); a class is closed when no transition leaves it.  Each closed
+    class carries exactly one stationary law, found by solving its restricted
+    generator with the last row replaced by normalization, and zero outside
+    the class.  The laws are ordered by the smallest state in their class.
+    A solve that leaves a residual of G p = 0 or of the normalization above
+    1e-8, or a non-finite one, raises numpy.linalg.LinAlgError.
     """
-    diag = gen.matrix.diagonal()
-    absorbing = np.flatnonzero(np.abs(diag) <= _ABSORBING_TOL)
-    if absorbing.size > 0:
-        return [point_mass(int(i), gen.n_sites) for i in absorbing]
-    a = sparse.lil_array(gen.matrix.astype(np.float64))
-    a[gen.dim - 1, :] = 1.0
-    b = np.zeros(gen.dim)
-    b[-1] = 1.0
-    p = spsolve(a.tocsc(), b)
-    residual = float(np.abs(gen.matrix @ p).max())
-    if not np.isfinite(p).all() or residual > 1e-8:
-        p = _nullspace_fallback(gen)
-    return [p / p.sum()]
-
-
-def _nullspace_fallback(gen: GeneratorMatrix) -> np.ndarray:
-    if gen.n_sites > 12:
-        raise ValueError("dense null-space fallback limited to n <= 12")
-    _, _, vt = np.linalg.svd(gen.dense())
-    v = vt[-1]
-    if v.sum() < 0:
-        v = -v
-    return v
+    g = gen.matrix
+    _, label = connected_components(g, connection="strong")
+    # entry (to, frm) is a transition frm -> to; the classes it leaves are open
+    to, frm = g.nonzero()
+    leaky = np.unique(label[frm[label[to] != label[frm]]])
+    _, first = np.unique(label, return_index=True)
+    basis = []
+    for start in np.setdiff1d(first, first[leaky]):
+        members = np.flatnonzero(label == label[start])
+        g_c = g[members][:, members]
+        a = sparse.vstack([g_c[:-1], np.ones((1, members.size))], format="csc")
+        b = np.zeros(members.size)
+        b[-1] = 1.0
+        p = spsolve(a, b)
+        residual = float(np.abs(np.append(g_c @ p, p.sum() - 1.0)).max())
+        if not residual <= 1e-8:
+            raise np.linalg.LinAlgError(
+                f"stationary solve on a class of {members.size} states left residual {residual}")
+        law = np.zeros(gen.dim)
+        law[members] = p / p.sum()
+        basis.append(law)
+    return basis
 
 
 def flux_residual(w: np.ndarray, energies: np.ndarray, beta: float) -> float:
@@ -270,7 +279,8 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
 
 def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,
                              times: np.ndarray | list[float]) -> np.ndarray:
-    """<m>(t) = sum_sigma magnetization(sigma) P_sigma(t) at each requested time.
+    """<m>(t) = sum_sigma m(sigma) P_sigma(t), m the mean symbol, at each
+    requested time.
 
     The times may come in any order and repeat; they are visited in ascending
     order and the results are returned in the order given.
@@ -282,14 +292,6 @@ def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,
     for k, p in zip(order, _stepped(p0, gen, times[order])):
         curve[k] = m @ p
     return curve
-
-
-def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:
-    """One-step kernel K = I + G/N of the discrete chain that picks a site
-    uniformly and flips with probability w_i; K^j averaged over a Poisson(Nt)
-    step count reproduces exp(G t)."""
-    dim = gen.dim
-    return sparse.identity(dim, format="csc") + gen.matrix * (1.0 / gen.n_sites)
 
 
 def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,

@@ -161,30 +161,6 @@ def gibbs_probabilities(n: int, coupling: float, temperature: float, boltzmann: 
     return weights / weights.sum()
 
 
-def log_partition_open(n: int, x: float) -> float:
-    """ln Z of the transfer-matrix closed form Z = 2^N cosh^{N-1}(x) for the
-    open chain, x = J/(kT)."""
-    return n * LN2 + (n - 1) * _log_cosh(x)
-
-
-def log_partition_periodic(n: int, x: float) -> float:
-    """ln Z of the transfer-matrix closed form Z = (2 cosh x)^N + (2 sinh x)^N
-    for the ring, x = J/(kT), as N ln(2 cosh x) + ln(1 + tanh(x)^N).
-
-    The second term's argument lies in (0, 2] for either sign of x and
-    parity of N, so no power of cosh or sinh is ever formed.  Oracle
-    cross-check only; the closed-form F and S above are open-chain.
-    """
-    ring = n * (LN2 + _log_cosh(x))
-    if x == 0.0:
-        return ring
-    # N ln tanh|x| as -2N atanh(e^{-2|x|}), accurate where tanh|x| rounds to 1
-    log_power = -2.0 * n * math.atanh(math.exp(-2.0 * abs(x)))
-    if x < 0 and n % 2 == 1:
-        return ring + math.log(-math.expm1(log_power))
-    return ring + math.log1p(math.exp(log_power))
-
-
 @dataclass(frozen=True)
 class ThermoReport:
     """Closed-form bundle for one (n, J, T, k) point.

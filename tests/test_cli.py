@@ -44,10 +44,12 @@ def test_thermo_rejects_gamma_only(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_model_flags_are_exclusive():
+def test_model_flags_are_exclusive(capsys):
     assert main(["simulate", "--n", "4", "--gamma", "0.5", "--coupling", "1",
                  "--temperature", "1"]) == 2
     assert main(["simulate", "--n", "4"]) == 2
+    assert main(["simulate", "--n", "4", "--gamma", "1", "--trajectories", "-1"]) == 2
+    assert "error: --trajectories must be nonnegative" in capsys.readouterr().err
 
 
 def test_si_units_require_boltzmann():
@@ -211,8 +213,10 @@ def test_exact_clips_negative_roundoff_in_distribution_only(tmp_path, monkeypatc
     assert _data_lines(tmp_path / "dist.summary.csv")[1:] == ["0,2e-18", "1,2e-18"]
 
 
-def test_exact_rejects_oversized_chain():
+def test_exact_rejects_oversized_chain(capsys):
     assert main(["exact", "--n", "15", "--gamma", "0.5"]) == 2
+    assert main(["exact", "--n", "0", "--gamma", "0.5"]) == 2
+    assert "error: a generator needs at least one cell" in capsys.readouterr().err
 
 
 def test_verify_report_and_exit_status(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import uniformized_kernel
 from scipy.linalg import expm
 
 from voterchain.core import (
@@ -15,6 +17,7 @@ from voterchain.core import (
     magnetization_vector,
     spin_table,
 )
+from voterchain import dynamics
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
     _neighbourhoods,
@@ -32,7 +35,6 @@ from voterchain.dynamics import (
     rates,
     stationary_distributions,
     uniform_distribution,
-    uniformized_kernel,
 )
 from voterchain.thermo import gibbs_probabilities
 from voterchain.verify import poisson_z
@@ -126,6 +128,8 @@ def test_flux_balances_at_physical_gamma(n, beta_j, temperature, boltzmann, boun
 def test_site_cap():
     with pytest.raises(ValueError):
         build_generator(EXACT_SITE_CAP + 1, ModelParams.from_gamma(0.0))
+    with pytest.raises(ValueError, match="at least one cell"):
+        build_generator(0, ModelParams.from_gamma(0.0))
 
 
 def test_generator_structure():
@@ -145,7 +149,7 @@ def test_generator_structure():
 def test_generator_matches_rate_definition():
     params = ModelParams.from_gamma(0.3)
     gen = build_generator(3, ModelParams.from_gamma(0.3))
-    dense = gen.dense()
+    dense = gen.matrix.toarray()
     for idx in range(8):
         tape = decode_state(idx, 3)
         for site in range(3):
@@ -163,12 +167,24 @@ def test_evolve_exact_t0_and_validation():
         evolve_exact(np.ones(4), gen, 1.0)
 
 
+def test_evolve_exact_underflowing_step_returns_start():
+    # t times the largest exit rate is subnormal: P(t) is P(0) far below
+    # roundoff, and the matrix-exponential action is not attempted
+    gen = build_generator(3, ModelParams.from_gamma(0.5))
+    p0 = point_mass(1, 3)
+    for t in (5e-324, 1e-323):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = evolve_exact(p0, gen, t)
+        assert p.tobytes() == p0.tobytes() and p is not p0
+
+
 def test_evolve_exact_matches_dense_expm():
     for gamma in (0.0, 0.6, 1.0):
         gen = build_generator(3, ModelParams.from_gamma(gamma))
         p0 = point_mass(5, 3)
         for t in (0.3, 2.0):
-            expected = expm(gen.dense() * t) @ p0
+            expected = expm(gen.matrix.toarray() * t) @ p0
             assert np.abs(evolve_exact(p0, gen, t) - expected).max() <= 1e-12
 
 
@@ -216,6 +232,70 @@ def test_stationary_antialigned_absorbers():
     gen = build_generator(4, ModelParams.from_gamma(-1.0))
     supports = sorted(int(np.argmax(p)) for p in stationary_distributions(gen))
     assert supports == [encode_state(SpinTape.alternating(4)), 0b1010]
+
+
+def test_stationary_odd_antialigned_ring_has_one_class():
+    # gamma = -1 on an odd ring: the one aligned bond wanders, so the closed
+    # class is the 2n tapes with exactly one aligned bond, the rest transient
+    for n in (3, 5, 7):
+        gen = build_generator(n, ModelParams.from_gamma(-1.0))
+        (law,) = stationary_distributions(gen)
+        s = spin_table(n)
+        one_bond = np.flatnonzero((s == np.roll(s, -1, axis=1)).sum(axis=1) == 1)
+        assert one_bond.size == 2 * n
+        assert np.array_equal(np.flatnonzero(law), one_bond)
+        assert np.abs(law[one_bond] - 1.0 / (2 * n)).max() <= 1e-12
+
+
+def _closed_class_count(gen):
+    """Closed classes of the flip graph, counted by boolean reachability."""
+    reach = (gen.matrix.toarray().T != 0) | np.eye(gen.dim, dtype=bool)
+    while True:
+        longer = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if np.array_equal(longer, reach):
+            break
+        reach = longer
+    same = reach & reach.T
+    return len({tuple(np.flatnonzero(same[i])) for i in range(gen.dim)
+                if not (reach[i] & ~same[i]).any()})
+
+
+ALMOST_ONE = float(np.nextafter(1.0, 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 6), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)))
+@example(n=3, gamma=ALMOST_ONE, boundary=Boundary.PERIODIC)
+@example(n=6, gamma=ALMOST_ONE, boundary=Boundary.PERIODIC)
+@example(n=4, gamma=ALMOST_ONE, boundary=Boundary.OPEN)
+@example(n=3, gamma=1.0 - 1e-15, boundary=Boundary.PERIODIC)
+@example(n=4, gamma=1.0 - 1e-15, boundary=Boundary.PERIODIC)
+@example(n=4, gamma=-1.0 + 1e-15, boundary=Boundary.PERIODIC)
+@example(n=6, gamma=-1.0 + 1e-15, boundary=Boundary.PERIODIC)
+def test_stationary_basis_spans_closed_classes(n, gamma, boundary):
+    # near gamma = +-1 the chain is irreducible, however small the exit
+    # rates of the consensus or alternating tapes, so it has one law
+    gen = build_generator(n, ModelParams.from_gamma(gamma, boundary=boundary))
+    basis = stationary_distributions(gen)
+    assert len(basis) == _closed_class_count(gen)
+    for p in basis:
+        assert p.min() >= -1e-15
+        assert abs(float(p.sum()) - 1.0) <= 1e-12
+        assert np.abs(gen.matrix @ p).max() <= 1e-12
+    supports = np.array([p != 0 for p in basis])
+    assert supports.sum(axis=0).max() <= 1
+    firsts = [int(np.flatnonzero(s)[0]) for s in supports]
+    assert firsts == sorted(firsts)
+
+
+@pytest.mark.parametrize("garbage", [np.nan, 0.0, 7.0])
+def test_stationary_solve_failure_raises(monkeypatch, garbage):
+    # a solve that misses G p = 0 or the normalization is an error, not a law
+    gen = build_generator(4, ModelParams.from_gamma(0.5))
+    monkeypatch.setattr(dynamics, "spsolve", lambda a, b: np.full(b.size, garbage))
+    with pytest.raises(np.linalg.LinAlgError):
+        stationary_distributions(gen)
 
 
 def test_detailed_balance_residual_small():

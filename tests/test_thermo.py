@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from oracles import log_partition_open, log_partition_periodic
 
 from voterchain.core import Boundary, ModelParams
 from voterchain.thermo import (
@@ -15,8 +16,6 @@ from voterchain.thermo import (
     gibbs_probabilities,
     landauer_floor,
     landauer_gap,
-    log_partition_open,
-    log_partition_periodic,
     thermo_report,
 )
 
