@@ -137,7 +137,8 @@ def _run_trajectory(payload) -> tuple[int, Outcome]:
     tape = _initial_tape(init, n, params.boundary, rng)
     outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps)
     if not want_events:
-        outcome = dataclasses.replace(outcome, flips=())
+        # a fresh array, not a slice, so the record's buffer is freed here
+        outcome = dataclasses.replace(outcome, flips=np.empty((0, 3), dtype=np.int64))
     return int(tape.symbols.sum(dtype=np.int64)), outcome
 
 
@@ -147,6 +148,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
         max_steps = args.max_steps
     elif args.t_end is not None:
+        if args.t_end < 0:
+            raise ValueError("--t-end must be nonnegative")
         max_steps = math.ceil(args.t_end * n)
     else:
         max_steps = 10_000
@@ -175,7 +178,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
         for i, (msum, out) in enumerate(results):
             ev_lines.append(f"# trajectory {i}")
-            for step, site, sym in out.flips:
+            # one list per column: three objects instead of one per flip
+            for step, site, sym in zip(*out.flips.T.tolist()):
                 msum += 2 * sym
                 ev_lines.append(f"{_fmt(step / n, d)},{site},{sym},{_fmt(msum / n, d)}")
         _write_text(args.events, ev_lines)
@@ -381,6 +385,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_apply_config_file(argv))
+        if args.digits < 0:
+            raise ValueError("--digits must be nonnegative")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,18 +8,34 @@ absorbing and reaching one is the machine's halt (consensus = acceptance).
 One step advances machine time by 1/N, so a run of about N t steps matches
 the continuous-time evolution of the dynamics module over [0, t].  The
 machine keeps every cell's rate and, after a flip, refreshes the flipped
-cell and its two neighbours, as the Gillespie sampler does.
+cell and its two neighbours, as the Gillespie sampler does.  It also keeps
+the number of domain walls, so the halt check costs one comparison.
+
+Random stream: the cells and uniforms of the attempts are drawn ahead, in
+refills of min(16 * 2^k, 1024) attempts for refill k = 0, 1, 2, ...  Each
+refill is one `integers(N, size=b)` call followed by one `random(b)` call on
+the machine's generator, and attempt j uses the j-th cell and the j-th
+uniform.  The block sizes depend only on the attempt count, so runs are
+reproducible functions of the seed alone.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import ModelParams, SpinTape
 from .dynamics import _live_rates, _refresh
+
+_FIRST_REFILL = 16
+_MAX_REFILL = 1024
+
+# domain walls on the two bonds of a site, by its neighbourhood code 4 l + 2 c + r
+_WALLS = (0, 1, 2, 1, 1, 2, 1, 0)
 
 
 class Status(enum.Enum):
@@ -28,8 +44,11 @@ class Status(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class StepEvent:
+# read once per attempt; a module name is cheaper than an enum attribute
+_RUNNING = Status.RUNNING
+
+
+class StepEvent(NamedTuple):
     """One update attempt: the chosen cell, whether it flipped, and its symbol after."""
 
     site: int
@@ -39,14 +58,15 @@ class StepEvent:
 
 @dataclass(frozen=True)
 class Outcome:
-    """How a run ended, with one (step, site, new_symbol) record per flip;
-    `step` is the step count just after the flip."""
+    """How a run ended, with one (step, site, new_symbol) row per flip in the
+    read-only int64 array `flips` of shape (k, 3); `step` is the step count
+    just after the flip."""
 
     status: Status
     consensus_symbol: int | None
     steps: int
     final_tape: SpinTape
-    flips: tuple[tuple[int, int, int], ...] = ()
+    flips: np.ndarray
 
     @property
     def halted(self) -> bool:
@@ -56,9 +76,10 @@ class Outcome:
 class TuringVoter:
     """Seeded machine state: tape, parameters, step counter, and halt status.
 
-    Per step the random stream is consumed in a fixed order (cell draw, then
-    one uniform variate, drawn whether or not the flip succeeds), so event
-    sequences are reproducible functions of the seed alone.
+    Attempts consume the random stream in the refills the module docstring
+    describes, drawn whether or not a flip succeeds.  A generator passed in
+    is therefore consumed ahead of the steps: after j attempts it has
+    delivered the whole refill that holds attempt j.
     """
 
     def __init__(self, tape: SpinTape, params: ModelParams,
@@ -66,17 +87,23 @@ class TuringVoter:
         if tape.boundary is not params.boundary:
             raise ValueError("tape and params boundary conditions disagree")
         self.params = params
-        self._s = tape.symbols.astype(np.int8)
-        w, self._codes, self._table = _live_rates(self._s, params)
+        self._s = tape.symbols.tolist()
+        w, self._codes, self._table = _live_rates(tape.symbols, params)
         self._w = w.tolist()
+        # cyclic bonds whose symbols differ, each seen from both its sites:
+        # zero exactly on a uniform tape, on an open chain too, where the
+        # codes read the wrap bond as the only one added
+        self._walls = sum(map(_WALLS.__getitem__, self._codes)) // 2
         self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self._draws = iter(())  # the first block is drawn by the first attempt
+        self._refill_size = _FIRST_REFILL
         self.step_count = 0
         self.status = Status.RUNNING
         self.consensus_symbol: int | None = None
 
     @property
     def n(self) -> int:
-        return self._s.size
+        return len(self._s)
 
     @property
     def tape(self) -> SpinTape:
@@ -88,20 +115,34 @@ class TuringVoter:
         return self.step_count / self.n
 
     def is_consensus(self) -> bool:
-        return bool(np.all(self._s == self._s[0]))
+        return self._walls == 0
+
+    def _refill(self) -> tuple[int, float]:
+        """Draw the next block of cells and uniforms; return its first pair."""
+        b = self._refill_size
+        self._refill_size = min(2 * b, _MAX_REFILL)
+        cells = self._rng.integers(len(self._s), size=b).tolist()
+        self._draws = zip(cells, self._rng.random(b).tolist())
+        return next(self._draws)
 
     def step(self) -> StepEvent:
         """Attempt one update on a running machine."""
-        if self.status is not Status.RUNNING:
+        if self.status is not _RUNNING:
             raise RuntimeError(f"cannot step a machine with status {self.status.value}")
-        site = int(self._rng.integers(self.n))
-        u = float(self._rng.random())
-        flipped = u < self._w[site]
-        if flipped:
-            self._s[site] = -self._s[site]
-            _refresh(site, self._codes, self._w, self._table)
+        try:
+            site, u = next(self._draws)
+        except StopIteration:
+            site, u = self._refill()
         self.step_count += 1
-        return StepEvent(site=site, flipped=flipped, new_symbol=int(self._s[site]))
+        s = self._s
+        if u < self._w[site]:
+            codes = self._codes
+            before = codes[site]
+            _refresh(site, codes, self._w, self._table)
+            self._walls += _WALLS[codes[site]] - _WALLS[before]
+            s[site] = -s[site]
+            return StepEvent(site, True, s[site])
+        return StepEvent(site, False, s[site])
 
     def run_until_halt(self, max_steps: int) -> Outcome:
         """Step until the tape is uniform (halt) or the budget runs out.
@@ -114,22 +155,25 @@ class TuringVoter:
             raise ValueError("max_steps must be nonnegative")
         if self.status is not Status.RUNNING:
             raise RuntimeError(f"cannot run a machine with status {self.status.value}")
-        flips = []
-        spent = 0
-        while True:
-            if self.is_consensus():
-                self.status = Status.HALTED
-                self.consensus_symbol = int(self._s[0])
-                return self._outcome(flips)
-            if spent >= max_steps:
-                self.status = Status.EXHAUSTED
-                return self._outcome(flips)
-            event = self.step()
-            spent += 1
-            if event.flipped:
-                flips.append((self.step_count, event.site, event.new_symbol))
+        flips = array("q")
+        record, step, is_consensus = flips.extend, self.step, self.is_consensus
+        halted = is_consensus()
+        for _ in range(max_steps):
+            if halted:
+                break
+            site, flipped, symbol = step()
+            if flipped:
+                record((self.step_count, site, symbol))
+            halted = is_consensus()
+        if halted:
+            self.status = Status.HALTED
+            self.consensus_symbol = self._s[0]
+        else:
+            self.status = Status.EXHAUSTED
+        return self._outcome(flips)
 
-    def _outcome(self, flips: list[tuple[int, int, int]]) -> Outcome:
+    def _outcome(self, flips: array) -> Outcome:
+        table = np.frombuffer(flips, dtype=np.int64).reshape(-1, 3)
+        table.flags.writeable = False
         return Outcome(status=self.status, consensus_symbol=self.consensus_symbol,
-                       steps=self.step_count, final_tape=self.tape, flips=tuple(flips))
-
+                       steps=self.step_count, final_tape=self.tape, flips=table)

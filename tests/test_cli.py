@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from voterchain.cli import main
 from voterchain.core import Boundary, ModelParams, magnetization_vector
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
 from voterchain.thermo import thermo_report
+from voterchain.voter import TuringVoter
 
 
 def _data_lines(path):
@@ -50,6 +52,55 @@ def test_model_flags_are_exclusive(capsys):
     assert main(["simulate", "--n", "4"]) == 2
     assert main(["simulate", "--n", "4", "--gamma", "1", "--trajectories", "-1"]) == 2
     assert "error: --trajectories must be nonnegative" in capsys.readouterr().err
+
+
+def test_simulate_rejects_negative_end_time(capsys):
+    assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--n", "2", "--coupling", "1", "--temperature", "1"],
+    ["simulate", "--n", "3", "--gamma", "0.5"],
+    ["exact", "--n", "3", "--gamma", "0.5"],
+    ["verify", "--fast"],
+    ["sweep", "--petabit"],
+])
+def test_negative_digits_rejected(argv, capsys):
+    assert main(argv + ["--digits", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --digits must be nonnegative\n"
+
+
+def test_simulate_runs_every_attempt_through_the_machine_methods(tmp_path, monkeypatch):
+    # a per-layer tracer counts attempts and halt checks by wrapping these two
+    # methods on the class, so each attempt and each check must go through them
+    calls = Counter()
+    step, is_consensus = TuringVoter.step, TuringVoter.is_consensus
+
+    def counted_step(self):
+        event = step(self)
+        calls["step"] += 1
+        calls["flips"] += event.flipped
+        return event
+
+    def counted_is_consensus(self):
+        calls["is_consensus"] += 1
+        return is_consensus(self)
+
+    monkeypatch.setattr(TuringVoter, "step", counted_step)
+    monkeypatch.setattr(TuringVoter, "is_consensus", counted_is_consensus)
+    runs, events = tmp_path / "runs.csv", tmp_path / "events.csv"
+    for model in (["--n", "8", "--gamma", "1", "--max-steps", "100000"],
+                  ["--n", "12", "--coupling", "0.5", "--temperature", "1", "--t-end", "20",
+                   "--events", str(events)]):
+        calls.clear()
+        assert main(["simulate", *model, "--init", "random", "--trajectories", "6",
+                     "--seed", "3", "--out", str(runs)]) == 0
+        steps = [int(row.split(",")[3]) for row in _data_lines(runs)[1:]]
+        assert calls["step"] == sum(steps) > 0
+        assert calls["is_consensus"] == sum(steps) + len(steps)
+    rows = [line for line in _data_lines(events) if line != "time,site,new_symbol,magnetization"]
+    assert calls["flips"] == len(rows) > 0
 
 
 def test_si_units_require_boltzmann():

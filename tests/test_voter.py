@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import uniformized_kernel
 
 from voterchain.core import Boundary, ModelParams, SpinTape, encode_state
@@ -111,13 +113,16 @@ def test_run_until_halt_records_every_flip():
             event = replay.step()
             if event.flipped:
                 expected.append((replay.step_count, event.site, event.new_symbol))
-        assert expected and outcome.flips == tuple(expected)
+        flips = outcome.flips
+        assert expected and flips.tolist() == [list(row) for row in expected]
+        assert flips.dtype == np.int64 and flips.shape == (len(expected), 3)
+        assert flips.nbytes == 24 * len(expected) and not flips.flags.writeable
         s = tape.symbols.copy()
-        for _, site, symbol in outcome.flips:
+        for _, site, symbol in flips.tolist():
             s[site] = symbol
         assert s.tolist() == outcome.final_tape.symbols.tolist()
     uniform = SpinTape.uniform(3, 1, Boundary.OPEN)
-    assert TuringVoter(uniform, params, 0).run_until_halt(10).flips == ()
+    assert TuringVoter(uniform, params, 0).run_until_halt(10).flips.shape == (0, 3)
 
 
 def test_consensus_split_two_cells():
@@ -157,15 +162,23 @@ def test_distribution_after_poisson_step_count_matches_exact():
     assert multinomial_z(counts, np.clip(target, 0.0, None)) < 3.0
 
 
-def test_distribution_after_fixed_step_count_matches_kernel_power():
-    # with a fixed step budget the law is the k-th kernel power, not exp(G t)
-    n, gamma, t, trials = 4, 0.5, 0.75, 30_000
-    k = math.ceil(n * t)
+def _kernel_power_z(n: int, gamma: float, k: int, trials: int, seed: int) -> float:
     kernel = uniformized_kernel(build_generator(n, ModelParams.from_gamma(gamma))).toarray()
     target = np.linalg.matrix_power(kernel, k) @ point_mass(
         encode_state(SpinTape.alternating(n)), n)
-    counts = _empirical_counts(n, gamma, lambda rng: k, trials, 62)
-    assert multinomial_z(counts, np.clip(target, 0.0, None)) < 3.0
+    counts = _empirical_counts(n, gamma, lambda rng: k, trials, seed)
+    return multinomial_z(counts, np.clip(target, 0.0, None))
+
+
+def test_distribution_after_fixed_step_count_matches_kernel_power():
+    # with a fixed step budget the law is the k-th kernel power, not exp(G t)
+    n, gamma, t, trials = 4, 0.5, 0.75, 30_000
+    assert _kernel_power_z(n, gamma, math.ceil(n * t), trials, 62) < 3.0
+
+
+def test_kernel_power_law_holds_past_the_first_refill():
+    # 20 steps use the whole first block of 16 draws and part of the second
+    assert _kernel_power_z(4, 0.5, 20, 20_000, 63) < 3.0
 
 
 def test_poisson_weighted_kernel_powers_reproduce_exact_evolution():
@@ -184,3 +197,70 @@ def test_poisson_weighted_kernel_powers_reproduce_exact_evolution():
         weight *= lam / (k + 1)
     exact = evolve_exact(p0, gen, t)
     assert np.abs(mix - exact).max() <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(0, 120), data=st.data())
+def test_halt_check_tracks_uniform_tape(n, gamma, boundary, seed, steps, data):
+    # the kept wall count is zero exactly when every symbol is equal
+    symbols = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    machine = TuringVoter(SpinTape(symbols, boundary),
+                          ModelParams.from_gamma(gamma, boundary=boundary), seed)
+    for _ in range(steps + 1):
+        s = machine.tape.symbols
+        assert machine.is_consensus() == bool(np.all(s == s[0]))
+        machine.step()
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_steps_to_halt_follow_absorbed_kernel_mass(boundary):
+    # P(halted within k steps) is the mass K^k p0 puts on the two consensus
+    # tapes; the empirical steps to halt are binned at 5% quantiles of that law
+    n, trials, horizon = 6, 4_000, 400
+    params = ModelParams.from_gamma(1.0, boundary=boundary)
+    tape = SpinTape.alternating(n, boundary)
+    kernel = uniformized_kernel(build_generator(n, params)).toarray()
+    p = point_mass(encode_state(tape), n)
+    cdf = np.empty(horizon + 1)
+    for k in range(horizon + 1):
+        cdf[k] = p[0] + p[-1]
+        p = kernel @ p
+    edges = np.unique(np.searchsorted(cdf, np.linspace(0.05, 0.95, 19)))
+    probs = np.diff(np.concatenate([[0.0], cdf[edges], [1.0]]))
+    steps = []
+    for child in np.random.SeedSequence(64).spawn(trials):
+        outcome = TuringVoter(tape, params, child).run_until_halt(100_000)
+        assert outcome.halted
+        steps.append(outcome.steps)
+    counts = np.bincount(np.searchsorted(edges, steps), minlength=probs.size)
+    assert multinomial_z(counts, probs) < 3.0
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_attempts_replay_the_documented_refills(boundary):
+    # refill k draws min(16 * 2^k, 1024) cells, then as many uniforms; each
+    # attempt takes the next cell and uniform and flips when u < w[site]
+    n, attempts = 7, 3_000
+    params = ModelParams.from_gamma(0.4, boundary=boundary)
+    tape = SpinTape.alternating(n, boundary)
+    stream = np.random.default_rng(5)
+    machine = TuringVoter(tape, params, stream)
+    events = [machine.step() for _ in range(attempts)]
+    replay = np.random.default_rng(5)
+    cells, uniforms, size = [], [], 16
+    while len(cells) < attempts:
+        cells += replay.integers(n, size=size).tolist()
+        uniforms += replay.random(size).tolist()
+        size = min(2 * size, 1024)
+    s = tape.symbols.copy()
+    rebuilt = []
+    for site, u in zip(cells[:attempts], uniforms):
+        flipped = bool(u < rates(s, params)[site])
+        if flipped:
+            s[site] = -s[site]
+        rebuilt.append((site, flipped, int(s[site])))
+    assert events == rebuilt
+    # the generator passed in is drawn ahead by whole refills
+    assert stream.bit_generator.state == replay.bit_generator.state
