@@ -41,7 +41,7 @@ from .thermo import (
     thermo_report,
 )
 from .verify import CheckResult, run_verify
-from .voter import Outcome, Status, StepEvent, TuringVoter
+from .voter import Outcome, StepEvent, TuringVoter
 
 __all__ = [
     "Boundary",
@@ -50,7 +50,6 @@ __all__ = [
     "ModelParams",
     "Outcome",
     "SpinTape",
-    "Status",
     "StepEvent",
     "ThermoReport",
     "Trajectory",

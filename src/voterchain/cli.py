@@ -148,8 +148,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
         max_steps = args.max_steps
     elif args.t_end is not None:
-        if args.t_end < 0:
-            raise ValueError("--t-end must be nonnegative")
         max_steps = math.ceil(args.t_end * n)
     else:
         max_steps = 10_000
@@ -204,8 +202,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
         p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary, None)), n)
     if args.t_steps < 1:
         raise ValueError("--t-steps must be at least 1")
-    if args.t_end < 0:
-        raise ValueError("--t-end must be nonnegative")
     times = np.linspace(0.0, args.t_end, args.t_steps + 1)
     m = magnetization_vector(n)
     d = args.digits
@@ -387,6 +383,12 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(_apply_config_file(argv))
         if args.digits < 0:
             raise ValueError("--digits must be nonnegative")
+        t_end = getattr(args, "t_end", None)
+        if t_end is not None:
+            if t_end < 0:
+                raise ValueError("--t-end must be nonnegative")
+            if not math.isfinite(t_end):
+                raise ValueError("--t-end must be finite")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

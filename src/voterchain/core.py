@@ -21,9 +21,12 @@ class Boundary(Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpinTape:
-    """Immutable sequence of N symbols in {-1, +1} with a boundary condition."""
+    """Immutable sequence of N symbols in {-1, +1} with a boundary condition.
+
+    Tapes compare and hash by value: their boundary and their symbols.
+    """
 
     symbols: np.ndarray
     boundary: Boundary = Boundary.PERIODIC
@@ -37,6 +40,15 @@ class SpinTape:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
+
+    def _key(self) -> tuple[Boundary, bytes]:
+        return self.boundary, self.symbols.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, SpinTape) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -60,8 +72,8 @@ class SpinTape:
 class ModelParams:
     """Dynamics parameters: a bias gamma in [-1, 1], optionally tied to a
     physical (coupling, temperature, boltzmann) triple via
-    gamma = tanh(2 * coupling / (boltzmann * temperature)).  The dynamics
-    have no field; `state_energies` takes one separately.
+    gamma = tanh(2 * coupling / (boltzmann * temperature)).  The chain has no
+    external field, in its dynamics and in its energies alike.
     """
 
     gamma: float
@@ -136,9 +148,9 @@ def spin_table(n: int) -> np.ndarray:
     return table
 
 
-def state_energies(n: int, coupling: float, h: float = 0.0,
+def state_energies(n: int, coupling: float,
                    boundary: Boundary = Boundary.OPEN) -> np.ndarray:
-    """Chain energy -J * sum_bonds s_i s_{i+1} - h * sum_i s_i of all 2^n
+    """Zero-field chain energy -J * sum_bonds s_i s_{i+1} of all 2^n
     configurations, index order.
 
     Open boundary sums the N-1 interior bonds; periodic adds the wrap-around
@@ -148,7 +160,7 @@ def state_energies(n: int, coupling: float, h: float = 0.0,
     bonds = (s[:, :-1] * s[:, 1:]).sum(axis=1)
     if boundary is Boundary.PERIODIC:
         bonds = bonds + s[:, -1] * s[:, 0]
-    return -coupling * bonds - h * s.sum(axis=1)
+    return -coupling * bonds
 
 
 def magnetization_vector(n: int) -> np.ndarray:

@@ -124,11 +124,13 @@ def _rate_lookup(n: int, params: ModelParams) -> tuple[tuple[float, ...], ...]:
 
 
 def _live_rates(symbols: np.ndarray, params: ModelParams
-                ) -> tuple[np.ndarray, list[int], tuple[tuple[float, ...], ...]]:
+                ) -> tuple[list[float], list[int], tuple[tuple[float, ...], ...]]:
     """Rates of a tape about to be sampled, with the neighbourhood codes and
-    the lookup table through which `_refresh` keeps them current."""
-    return (rates(symbols, params), _neighbourhoods(symbols).tolist(),
-            _rate_lookup(symbols.size, params))
+    the lookup table through which `_refresh` keeps them current; the start
+    rates are read from the same table."""
+    codes = _neighbourhoods(symbols).tolist()
+    table = _rate_lookup(symbols.size, params)
+    return [row[c] for row, c in zip(table, codes)], codes, table
 
 
 def _refresh(site: int, codes: list[int], w: list[float] | np.ndarray,
@@ -183,10 +185,10 @@ def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     probability mass is conserved up to roundoff.  When t times the largest
     exit rate is below the smallest normal float (t = 0 included), the step
     underflows, P(t) differs from P(0) by less than that, and a copy of P(0)
-    is returned.
+    is returned.  A negative, infinite or NaN t is rejected.
     """
-    if t < 0:
-        raise ValueError("time must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {t}")
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
@@ -273,7 +275,7 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
     w = rates(spin_table(n), params)
-    energies = state_energies(n, params.coupling, 0.0, params.boundary)
+    energies = state_energies(n, params.coupling, params.boundary)
     return flux_residual(w, energies, params.beta)
 
 
@@ -301,15 +303,16 @@ def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,
     Waiting times are exponential at the total rate sum_i w_i of the current
     configuration; the flipped site is drawn proportionally to w_i.
     Reproducible given the seed.  The rates are refreshed after each flip
-    as in the discrete machine.
+    as in the discrete machine.  `t_end` must be finite and nonnegative.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     if tape0.boundary is not params.boundary:
         raise ValueError("tape and params boundary conditions disagree")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n = tape0.n
     w, codes, table = _live_rates(tape0.symbols, params)
+    w = np.array(w)
     events: list[tuple[float, int]] = []
     t = 0.0
     while True:

@@ -111,35 +111,38 @@ def erasure_energy(n_bits: float, temperature: float, boltzmann: float = 1.0) ->
 
 @dataclass(frozen=True)
 class GibbsSummary:
-    """Enumerated equilibrium quantities: Z, F = -kT ln Z, U = <H>, S = -k sum p ln p."""
+    """Enumerated equilibrium quantities: ln Z, F = -kT ln Z, U = <H>, S = -k sum p ln p.
 
-    partition_function: float
+    ln Z rather than Z, which overflows a float where F, U and S do not.
+    """
+
+    log_partition_function: float
     free_energy: float
     internal_energy: float
     entropy: float
 
 
 def _gibbs_weights(n: int, coupling: float, temperature: float, boltzmann: float,
-                   h: float, boundary: Boundary) -> tuple[float, np.ndarray, float, np.ndarray]:
+                   boundary: Boundary) -> tuple[float, np.ndarray, float, np.ndarray]:
     """beta, the energies of all 2^n configurations, their minimum, and the
     weights e^{-beta (E - E_min)}, so the largest weight is 1."""
     _check_point(n, temperature, boltzmann)
     if n > BRUTE_FORCE_SITE_CAP:
         raise ValueError(f"enumeration capped at n={BRUTE_FORCE_SITE_CAP}, got {n}")
     beta = 1.0 / (boltzmann * temperature)
-    energies = state_energies(n, coupling, h, boundary)
+    energies = state_energies(n, coupling, boundary)
     e_min = energies.min()
     return beta, energies, e_min, np.exp(-beta * (energies - e_min))
 
 
 def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
-                      h: float = 0.0, boundary: Boundary = Boundary.OPEN) -> GibbsSummary:
+                      boundary: Boundary = Boundary.OPEN) -> GibbsSummary:
     """Exact enumeration over all 2^n configurations (n <= 16).
 
     Satisfies F = U - T S up to roundoff by construction.
     """
     beta, energies, e_min, weights = _gibbs_weights(n, coupling, temperature, boltzmann,
-                                                    h, boundary)
+                                                    boundary)
     z_shifted = weights.sum()
     log_z = math.log(z_shifted) - beta * e_min
     p = weights / z_shifted
@@ -147,7 +150,7 @@ def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: fl
     # -k sum p ln p, with ln p = -beta(E - e_min) - ln z_shifted
     s = boltzmann * float(p @ (beta * (energies - e_min))) + boltzmann * math.log(z_shifted)
     return GibbsSummary(
-        partition_function=math.exp(log_z),
+        log_partition_function=log_z,
         free_energy=-boltzmann * temperature * log_z,
         internal_energy=u,
         entropy=s,
@@ -155,9 +158,9 @@ def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: fl
 
 
 def gibbs_probabilities(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
-                        h: float = 0.0, boundary: Boundary = Boundary.OPEN) -> np.ndarray:
+                        boundary: Boundary = Boundary.OPEN) -> np.ndarray:
     """Gibbs distribution e^{-beta H}/Z over all 2^n configurations, index order."""
-    weights = _gibbs_weights(n, coupling, temperature, boltzmann, h, boundary)[-1]
+    weights = _gibbs_weights(n, coupling, temperature, boltzmann, boundary)[-1]
     return weights / weights.sum()
 
 
@@ -169,10 +172,6 @@ class ThermoReport:
     U = (N-1) J tanh(J/kT) under the entropy sign convention above.
     """
 
-    n: int
-    coupling: float
-    temperature: float
-    boltzmann: float
     free_energy: float
     internal_energy: float
     entropy: float
@@ -187,10 +186,6 @@ def thermo_report(n: int, coupling: float, temperature: float, boltzmann: float 
     x = coupling / (boltzmann * temperature)
     u = (n - 1) * coupling * math.tanh(x)
     return ThermoReport(
-        n=n,
-        coupling=coupling,
-        temperature=temperature,
-        boltzmann=boltzmann,
         free_energy=f,
         internal_energy=u,
         entropy=s,

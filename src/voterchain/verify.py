@@ -47,7 +47,7 @@ from .thermo import (
     gibbs_probabilities,
     landauer_floor,
 )
-from .voter import Status, TuringVoter
+from .voter import TuringVoter
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,8 @@ class CheckResult:
         return "pass" if self.passed else "fail"
 
 
-def _result(name: str, residual: float, tolerance: float, detail: str = "",
-            passed: bool | None = None) -> CheckResult:
-    if passed is None:
-        passed = residual <= tolerance
-    return CheckResult(name=name, passed=bool(passed), residual=float(residual),
+def _result(name: str, residual: float, tolerance: float, detail: str = "") -> CheckResult:
+    return CheckResult(name=name, passed=bool(residual <= tolerance), residual=float(residual),
                        tolerance=float(tolerance), detail=detail)
 
 
@@ -158,7 +155,7 @@ def check_detailed_balance_injected() -> CheckResult:
     bj = 0.7
     gamma_wrong = math.tanh(2.0 * bj) + 0.05
     w = rates(spin_table(6), ModelParams.from_gamma(gamma_wrong))
-    energies = state_energies(6, bj, 0.0, Boundary.PERIODIC)
+    energies = state_energies(6, bj, Boundary.PERIODIC)
     residual = flux_residual(w, energies, 1.0)
     return _result("detailed_balance_injected", residual, 1e-12,
                    detail="expected failure: gamma was shifted off tanh(2J/kT) by 0.05")
@@ -314,7 +311,7 @@ def check_consensus_split(seed: int = 0, trajectories: int = 10_000) -> CheckRes
     for child in children:
         machine = TuringVoter(tape, params, child)
         outcome = machine.run_until_halt(max_steps=1000)
-        if outcome.status is not Status.HALTED:
+        if not outcome.halted:
             return _result("consensus_split", math.inf, 0.015,
                            detail="a trajectory failed to reach consensus")
         if outcome.consensus_symbol == 1:

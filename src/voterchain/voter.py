@@ -21,7 +21,6 @@ reproducible functions of the seed alone.
 
 from __future__ import annotations
 
-import enum
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,16 +37,6 @@ _MAX_REFILL = 1024
 _WALLS = (0, 1, 2, 1, 1, 2, 1, 0)
 
 
-class Status(enum.Enum):
-    RUNNING = "running"
-    HALTED = "halted"
-    EXHAUSTED = "exhausted"
-
-
-# read once per attempt; a module name is cheaper than an enum attribute
-_RUNNING = Status.RUNNING
-
-
 class StepEvent(NamedTuple):
     """One update attempt: the chosen cell, whether it flipped, and its symbol after."""
 
@@ -56,13 +45,13 @@ class StepEvent(NamedTuple):
     new_symbol: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Outcome:
-    """How a run ended, with one (step, site, new_symbol) row per flip in the
+    """How a run ended: the consensus symbol if the tape is uniform (halted),
+    else None, with one (step, site, new_symbol) row per flip in the
     read-only int64 array `flips` of shape (k, 3); `step` is the step count
     just after the flip."""
 
-    status: Status
     consensus_symbol: int | None
     steps: int
     final_tape: SpinTape
@@ -70,11 +59,12 @@ class Outcome:
 
     @property
     def halted(self) -> bool:
-        return self.status is Status.HALTED
+        return self.consensus_symbol is not None
 
 
 class TuringVoter:
-    """Seeded machine state: tape, parameters, step counter, and halt status.
+    """Seeded machine state: tape, parameters, step counter, and the rates and
+    domain-wall count it samples with; the tape is halted when it has no walls.
 
     Attempts consume the random stream in the refills the module docstring
     describes, drawn whether or not a flip succeeds.  A generator passed in
@@ -88,8 +78,7 @@ class TuringVoter:
             raise ValueError("tape and params boundary conditions disagree")
         self.params = params
         self._s = tape.symbols.tolist()
-        w, self._codes, self._table = _live_rates(tape.symbols, params)
-        self._w = w.tolist()
+        self._w, self._codes, self._table = _live_rates(tape.symbols, params)
         # cyclic bonds whose symbols differ, each seen from both its sites:
         # zero exactly on a uniform tape, on an open chain too, where the
         # codes read the wrap bond as the only one added
@@ -98,21 +87,10 @@ class TuringVoter:
         self._draws = iter(())  # the first block is drawn by the first attempt
         self._refill_size = _FIRST_REFILL
         self.step_count = 0
-        self.status = Status.RUNNING
-        self.consensus_symbol: int | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self._s)
 
     @property
     def tape(self) -> SpinTape:
         return SpinTape(self._s, self.params.boundary)
-
-    @property
-    def time(self) -> float:
-        """Machine time elapsed: 1/N per step."""
-        return self.step_count / self.n
 
     def is_consensus(self) -> bool:
         return self._walls == 0
@@ -126,9 +104,7 @@ class TuringVoter:
         return next(self._draws)
 
     def step(self) -> StepEvent:
-        """Attempt one update on a running machine."""
-        if self.status is not _RUNNING:
-            raise RuntimeError(f"cannot step a machine with status {self.status.value}")
+        """Attempt one update."""
         try:
             site, u = next(self._draws)
         except StopIteration:
@@ -148,13 +124,11 @@ class TuringVoter:
         """Step until the tape is uniform (halt) or the budget runs out.
 
         Consensus is checked before the first step, so an already-uniform
-        tape halts at the current step count.  Every flip of the run is
-        recorded in the outcome's `flips`.
+        tape halts at the current step count.  Every flip of this call is
+        recorded in the outcome's `flips`; a further call continues the run.
         """
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
-        if self.status is not Status.RUNNING:
-            raise RuntimeError(f"cannot run a machine with status {self.status.value}")
         flips = array("q")
         record, step, is_consensus = flips.extend, self.step, self.is_consensus
         halted = is_consensus()
@@ -165,15 +139,7 @@ class TuringVoter:
             if flipped:
                 record((self.step_count, site, symbol))
             halted = is_consensus()
-        if halted:
-            self.status = Status.HALTED
-            self.consensus_symbol = self._s[0]
-        else:
-            self.status = Status.EXHAUSTED
-        return self._outcome(flips)
-
-    def _outcome(self, flips: array) -> Outcome:
         table = np.frombuffer(flips, dtype=np.int64).reshape(-1, 3)
         table.flags.writeable = False
-        return Outcome(status=self.status, consensus_symbol=self.consensus_symbol,
+        return Outcome(consensus_symbol=self._s[0] if halted else None,
                        steps=self.step_count, final_tape=self.tape, flips=table)

@@ -16,8 +16,8 @@ from voterchain.dynamics import GeneratorMatrix
 LN2 = math.log(2.0)
 
 
-def hamiltonian(tape: SpinTape, coupling: float, h: float = 0.0) -> float:
-    """Chain energy -J * sum_bonds s_i s_{i+1} - h * sum_i s_i.
+def hamiltonian(tape: SpinTape, coupling: float) -> float:
+    """Zero-field chain energy -J * sum_bonds s_i s_{i+1}.
 
     Open boundary sums the N-1 interior bonds; periodic adds the wrap-around
     bond (for N = 1 that bond is the cell with itself, a constant -J).
@@ -26,7 +26,7 @@ def hamiltonian(tape: SpinTape, coupling: float, h: float = 0.0) -> float:
     bonds = float(np.dot(s[:-1], s[1:]))
     if tape.boundary is Boundary.PERIODIC:
         bonds += float(s[-1] * s[0])
-    return -coupling * bonds - h * float(s.sum())
+    return -coupling * bonds
 
 
 def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:

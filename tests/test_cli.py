@@ -57,6 +57,9 @@ def test_model_flags_are_exclusive(capsys):
 def test_simulate_rejects_negative_end_time(capsys):
     assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", "-1"]) == 2
     assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"
+    for t_end in ("inf", "nan"):
+        assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", t_end]) == 2
+        assert capsys.readouterr().err == "error: --t-end must be finite\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,10 +248,11 @@ def test_exact_zero_end_time_repeats_start(tmp_path):
 
 def test_exact_rejects_negative_end_time(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main(["exact", "--n", "3", "--gamma", "0.5", "--t-end", "-1",
-                 "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
+    for t_end, message in (("-1", "nonnegative"), ("inf", "finite"), ("nan", "finite")):
+        assert main(["exact", "--n", "3", "--gamma", "0.5", "--t-end", t_end,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --t-end must be {message}\n"
+        assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
 
 
 def test_exact_clips_negative_roundoff_in_distribution_only(tmp_path, monkeypatch):

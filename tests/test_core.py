@@ -37,6 +37,17 @@ def test_tape_symbols_are_read_only():
         tape.symbols[0] = -1
 
 
+def test_tape_equality_and_hash_by_value():
+    tape = SpinTape.alternating(4)
+    same = SpinTape([1, -1, 1, -1])
+    assert tape == same and hash(tape) == hash(same)
+    assert len({tape, same}) == 1
+    assert tape != SpinTape([1, -1, 1, 1])
+    assert tape != SpinTape.alternating(4, Boundary.OPEN)
+    assert tape != SpinTape.alternating(5)
+    assert tape != tape.symbols.tolist()
+
+
 def test_tape_constructors():
     assert np.all(SpinTape.uniform(4).symbols == 1)
     assert SpinTape.uniform(4, -1).symbols.tolist() == [-1, -1, -1, -1]
@@ -80,7 +91,6 @@ def test_hamiltonian_open_chain():
     # three bonds: -J(1*1 + 1*(-1) + (-1)*1) = J
     tape = SpinTape([1, 1, -1, 1], Boundary.OPEN)
     assert hamiltonian(tape, 2.0) == pytest.approx(2.0)
-    assert hamiltonian(tape, 2.0, h=0.5) == pytest.approx(2.0 - 0.5 * 2)
 
 
 def test_hamiltonian_periodic_adds_wrap_bond():
@@ -98,10 +108,10 @@ def test_hamiltonian_single_cell():
 
 def test_state_energies_match_hamiltonian():
     for boundary in (Boundary.OPEN, Boundary.PERIODIC):
-        energies = state_energies(5, 1.3, 0.2, boundary)
+        energies = state_energies(5, 1.3, boundary)
         for idx in (0, 7, 19, 31):
             tape = decode_state(idx, 5, boundary)
-            assert energies[idx] == pytest.approx(hamiltonian(tape, 1.3, 0.2), abs=1e-14)
+            assert energies[idx] == pytest.approx(hamiltonian(tape, 1.3), abs=1e-14)
 
 
 def test_magnetization():

@@ -20,6 +20,7 @@ from voterchain.core import (
 from voterchain import dynamics
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
+    _live_rates,
     _neighbourhoods,
     _rate_lookup,
     _refresh,
@@ -104,9 +105,9 @@ def test_refresh_after_flips_matches_rates(n, gamma, boundary, data):
     params = ModelParams.from_gamma(gamma, boundary=boundary)
     s = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
                  dtype=np.int8)
-    w = rates(s, params).tolist()
-    codes = _neighbourhoods(s).tolist()
-    table = _rate_lookup(n, params)
+    w, codes, table = _live_rates(s, params)
+    # the start rates come from the lookup table, bit for bit those of `rates`
+    assert np.array(w).tobytes() == rates(s, params).tobytes()
     for site in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
         s[site] = -s[site]
         _refresh(site, codes, w, table)
@@ -161,8 +162,9 @@ def test_evolve_exact_t0_and_validation():
     gen = build_generator(3, ModelParams.from_gamma(0.2))
     p0 = point_mass(5, 3)
     assert np.array_equal(evolve_exact(p0, gen, 0.0), p0)
-    with pytest.raises(ValueError):
-        evolve_exact(p0, gen, -1.0)
+    for t in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            evolve_exact(p0, gen, t)
     with pytest.raises(ValueError):
         evolve_exact(np.ones(4), gen, 1.0)
 
@@ -317,7 +319,7 @@ def test_flux_residual_detects_mismatch():
     from voterchain.core import state_energies
     wrong = ModelParams.from_gamma(math.tanh(2.0) * 0.9)
     w = rates(spin_table(4), wrong)
-    energies = state_energies(4, 1.0, 0.0, Boundary.PERIODIC)
+    energies = state_energies(4, 1.0, Boundary.PERIODIC)
     assert flux_residual(w, energies, 1.0) > 1e-2
 
 
@@ -410,6 +412,14 @@ def test_kmc_determinism_and_replay():
 def test_kmc_boundary_mismatch():
     with pytest.raises(ValueError):
         kmc_sample(SpinTape([1, -1], Boundary.OPEN), ModelParams.from_gamma(0.3), 1.0, 0)
+
+
+def test_kmc_rejects_end_times_outside_zero_to_infinity():
+    # a NaN end time would never be passed, and an infinite one never reached
+    params = ModelParams.from_gamma(0.5)
+    for t_end in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            kmc_sample(SpinTape.alternating(4), params, t_end, 0)
 
 
 def test_kmc_event_counts_are_poisson():

@@ -125,23 +125,34 @@ def test_log_partition_functions_at_large_n(n):
 
 def test_brute_force_partition_function_open():
     summary = gibbs_brute_force(2, 1.0, 1.0)
-    assert summary.partition_function == pytest.approx(4 * math.cosh(1.0), rel=1e-13)
+    assert summary.log_partition_function == pytest.approx(math.log(4 * math.cosh(1.0)),
+                                                           rel=1e-13)
     for n in (1, 3, 6):
-        z = gibbs_brute_force(n, 0.8, 1.0).partition_function
-        assert math.log(z) == pytest.approx(log_partition_open(n, 0.8), abs=1e-12)
+        log_z = gibbs_brute_force(n, 0.8, 1.0).log_partition_function
+        assert log_z == pytest.approx(log_partition_open(n, 0.8), abs=1e-12)
 
 
 def test_brute_force_partition_function_periodic():
     summary = gibbs_brute_force(4, 1.0, 1.0, boundary=Boundary.PERIODIC)
-    assert summary.partition_function == pytest.approx(Z_PER_4_X1, rel=1e-13)
+    assert summary.log_partition_function == pytest.approx(math.log(Z_PER_4_X1), rel=1e-13)
     for n, x in ((5, -0.6), (6, -0.6), (7, 1.3), (3, -2.0)):
-        z = gibbs_brute_force(n, x, 1.0, boundary=Boundary.PERIODIC).partition_function
-        assert math.log(z) == pytest.approx(log_partition_periodic(n, x), abs=1e-12)
+        log_z = gibbs_brute_force(n, x, 1.0, boundary=Boundary.PERIODIC).log_partition_function
+        assert log_z == pytest.approx(log_partition_periodic(n, x), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,coupling", [(16, 50.0), (12, 70.0), (4, 300.0)])
+def test_brute_force_where_the_partition_function_overflows(n, coupling):
+    # Z = e^{ln Z} is past the largest float here, while ln Z, F, U and S are not
+    s = gibbs_brute_force(n, coupling, 1.0)
+    assert s.log_partition_function > math.log(np.finfo(np.float64).max)
+    assert s.log_partition_function == pytest.approx(log_partition_open(n, coupling),
+                                                     rel=1e-14)
+    assert s.free_energy == pytest.approx(s.internal_energy - 1.0 * s.entropy, rel=1e-12)
 
 
 def test_brute_force_single_cell():
     summary = gibbs_brute_force(1, 2.0, 1.0, boundary=Boundary.OPEN)
-    assert summary.partition_function == pytest.approx(2.0, rel=1e-14)
+    assert summary.log_partition_function == pytest.approx(LN2, rel=1e-14)
     assert summary.entropy == pytest.approx(LN2, rel=1e-14)
 
 
@@ -151,15 +162,6 @@ def test_brute_force_internal_consistency():
             s = gibbs_brute_force(n, x, 1.0)
             assert s.free_energy == pytest.approx(
                 s.internal_energy - 1.0 * s.entropy, rel=1e-10)
-
-
-def test_brute_force_with_field():
-    # h breaks the up/down symmetry, lowering F
-    with_field = gibbs_brute_force(4, 1.0, 1.0, h=0.5)
-    without = gibbs_brute_force(4, 1.0, 1.0)
-    assert with_field.free_energy < without.free_energy
-    assert with_field.free_energy == pytest.approx(
-        with_field.internal_energy - with_field.entropy, rel=1e-10)
 
 
 def test_brute_force_cap():
@@ -207,7 +209,7 @@ def test_thermo_report():
     assert rep.entropy == pytest.approx(S_8_X1, rel=1e-12)
     assert rep.internal_energy == pytest.approx(7 * math.tanh(1.0), rel=1e-12)
     assert rep.free_energy == pytest.approx(
-        rep.internal_energy - rep.temperature * rep.entropy, rel=1e-9)
+        rep.internal_energy - 1.0 * rep.entropy, rel=1e-9)
     assert rep.gap >= -1e-12
     assert rep.landauer_floor == pytest.approx(8 * LN2, rel=1e-15)
     rep1 = thermo_report(1, 4.0, 2.0)
