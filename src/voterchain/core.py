@@ -32,12 +32,13 @@ class SpinTape:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        arr = np.asarray(self.symbols, dtype=np.int8)
+        arr = np.asarray(self.symbols)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("tape needs at least one cell")
-        if not np.all(np.abs(arr) == 1):
+        # checked before the cast to int8, which would truncate 1.5 and wrap 255
+        if not {-1, 1}.issuperset(arr.tolist()):
             raise ValueError("tape symbols must be -1 or +1")
-        arr = arr.copy()
+        arr = arr.astype(np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "symbols", arr)
 
@@ -126,16 +127,14 @@ class ModelParams:
 
 def encode_state(tape: SpinTape) -> int:
     """Pack a tape into its configuration index (site 0 = least-significant bit)."""
-    bits = (tape.symbols.astype(np.int64) + 1) // 2
-    return int(np.sum(bits << np.arange(tape.n, dtype=np.int64)))
+    return int.from_bytes(np.packbits(tape.symbols > 0, bitorder="little").tobytes(), "little")
 
 
 def decode_state(index: int, n: int, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
     """Inverse of encode_state for an n-cell tape."""
     if not 0 <= index < 2**n:
         raise ValueError(f"index {index} out of range for {n} cells")
-    bits = (index >> np.arange(n, dtype=np.int64)) & 1
-    return SpinTape((bits * 2 - 1).astype(np.int8), boundary)
+    return SpinTape([((index >> i) & 1) * 2 - 1 for i in range(n)], boundary)
 
 
 @lru_cache(maxsize=32)

@@ -78,7 +78,7 @@ class TuringVoter:
             raise ValueError("tape and params boundary conditions disagree")
         self.params = params
         self._s = tape.symbols.tolist()
-        self._w, self._codes, self._table = _live_rates(tape.symbols, params)
+        self._w, self._codes, self._table = _live_rates(self._s, params)
         # cyclic bonds whose symbols differ, each seen from both its sites:
         # zero exactly on a uniform tape, on an open chain too, where the
         # codes read the wrap bond as the only one added

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 Each one computes a quantity by a route the package does not take: the energy
-of one tape by its bonds, the one-step kernel of the discrete machine, and the
-transfer-matrix partition functions in log space.
+of one tape by its bonds, the neighbourhood codes of many tapes at once, the
+one-step kernel of the discrete machine, and the transfer-matrix partition
+functions in log space.
 """
 
 import math
@@ -27,6 +28,15 @@ def hamiltonian(tape: SpinTape, coupling: float) -> float:
     if tape.boundary is Boundary.PERIODIC:
         bonds += float(s[-1] * s[0])
     return -coupling * bonds
+
+
+def neighbourhoods(spins) -> np.ndarray:
+    """Code 4 l + 2 c + r of each site's (left, self, right) symbols, read
+    cyclically over the last axis of a +-1 array, with bit 1 for a +1
+    symbol."""
+    b = (np.asarray(spins) > 0).astype(np.int64)
+    padded = np.concatenate([b[..., -1:], b, b[..., :1]], axis=-1)
+    return 4 * padded[..., :-2] + 2 * b + padded[..., 2:]
 
 
 def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import hamiltonian
 
 from voterchain.core import (
@@ -26,6 +28,12 @@ def test_tape_validation():
         SpinTape([1, 0, -1])
     with pytest.raises(ValueError):
         SpinTape([1, 2])
+    # each symbol must be exactly +-1 before the int8 cast, which would
+    # truncate 1.5 and -1.9 to +-1 and wrap 255 and 257 to -1 and 1
+    for symbols in ([1.5, -1], np.array([255, 1]), np.array([257, -1]),
+                    np.array([1.0, -1.9])):
+        with pytest.raises(ValueError, match="-1 or \\+1"):
+            SpinTape(symbols)
     tape = SpinTape([1, -1, 1], Boundary.OPEN)
     assert tape.n == 3
     assert tape.boundary is Boundary.OPEN
@@ -74,10 +82,18 @@ def test_decode_examples():
         decode_state(-1, 3)
 
 
-def test_encode_decode_roundtrip():
-    for n in range(1, 9):
-        for idx in range(2**n):
-            assert encode_state(decode_state(idx, n)) == idx
+@given(case=st.integers(1, 64).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))),
+       boundary=st.sampled_from(list(Boundary)))
+@example(case=(64, 2**64 - 1), boundary=Boundary.PERIODIC)
+@example(case=(64, 2**63), boundary=Boundary.OPEN)
+def test_encode_decode_roundtrip(case, boundary):
+    # indices with bit 63 set overflow any int64 arithmetic on the bits
+    n, idx = case
+    tape = decode_state(idx, n, boundary)
+    assert tape.n == n and tape.boundary is boundary
+    assert encode_state(tape) == idx
+    reference = sum(((s + 1) // 2) << i for i, s in enumerate(tape.symbols.tolist()))
+    assert encode_state(tape) == reference
 
 
 def test_spin_table_matches_decode():

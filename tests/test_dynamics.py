@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import uniformized_kernel
+from oracles import neighbourhoods, uniformized_kernel
 from scipy.linalg import expm
 
 from voterchain.core import (
@@ -21,7 +21,6 @@ from voterchain import dynamics
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
     _live_rates,
-    _neighbourhoods,
     _rate_lookup,
     _refresh,
     _stepped,
@@ -83,7 +82,7 @@ def test_table_rows_match_tape_rates(n, gamma, boundary):
     table = rates(spin_table(n), params)
     assert table.shape == (2**n, n)
     lookup = _rate_lookup(n, params)
-    codes = _neighbourhoods(spin_table(n))
+    codes = neighbourhoods(spin_table(n))
     for idx in range(2**n):
         tape = decode_state(idx, n, boundary)
         assert np.array_equal(rates(tape.symbols, params), table[idx])
@@ -105,14 +104,15 @@ def test_refresh_after_flips_matches_rates(n, gamma, boundary, data):
     params = ModelParams.from_gamma(gamma, boundary=boundary)
     s = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
                  dtype=np.int8)
-    w, codes, table = _live_rates(s, params)
+    w, codes, table = _live_rates(s.tolist(), params)
+    assert codes == neighbourhoods(s).tolist()
     # the start rates come from the lookup table, bit for bit those of `rates`
     assert np.array(w).tobytes() == rates(s, params).tobytes()
     for site in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
         s[site] = -s[site]
         _refresh(site, codes, w, table)
         assert w == rates(s, params).tolist()
-        assert codes == _neighbourhoods(s).tolist()
+        assert codes == neighbourhoods(s).tolist()
 
 
 # Beyond |beta J| of about 2.4, rounding gamma = tanh(2 beta J) next to +-1
@@ -209,24 +209,28 @@ def test_stationary_unbiased_is_uniform():
 
 
 def test_stationary_matches_gibbs():
-    for n in (2, 5):
-        for bj in (0.5, -1.0):
-            params = ModelParams.from_physical(bj, 1.0)
+    # n = 12 is affordable since the solve orders its LU by minimum degree
+    for boundary in Boundary:
+        for n, bj in ((2, 0.5), (2, -1.0), (5, 0.5), (5, -1.0), (12, 0.5)):
+            params = ModelParams.from_physical(bj, 1.0, boundary=boundary)
             gen = build_generator(n, params)
             dists = stationary_distributions(gen)
             assert len(dists) == 1
-            gibbs = gibbs_probabilities(n, bj, 1.0, boundary=Boundary.PERIODIC)
+            gibbs = gibbs_probabilities(n, bj, 1.0, boundary=boundary)
             assert np.abs(dists[0] - gibbs).max() <= 1e-10
+            assert 0.5 * np.abs(dists[0] - gibbs).sum() <= 1e-10
             assert np.abs(gen.matrix @ gibbs).max() <= 1e-10
 
 
 def test_stationary_voter_absorbing_basis():
-    gen = build_generator(4, ModelParams.from_gamma(1.0))
-    dists = stationary_distributions(gen)
-    supports = sorted(int(np.argmax(p)) for p in dists)
-    assert supports == [0, 15]
-    for p in dists:
-        assert np.abs(gen.matrix @ p).max() <= 1e-12
+    for n in (4, 12):
+        gen = build_generator(n, ModelParams.from_gamma(1.0))
+        dists = stationary_distributions(gen)
+        # the two consensus tapes, each a point mass
+        assert [np.flatnonzero(p).tolist() for p in dists] == [[0], [2**n - 1]]
+        assert [p.max() for p in dists] == [1.0, 1.0]
+        for p in dists:
+            assert np.abs(gen.matrix @ p).max() <= 1e-12
 
 
 def test_stationary_antialigned_absorbers():
@@ -295,7 +299,7 @@ def test_stationary_basis_spans_closed_classes(n, gamma, boundary):
 def test_stationary_solve_failure_raises(monkeypatch, garbage):
     # a solve that misses G p = 0 or the normalization is an error, not a law
     gen = build_generator(4, ModelParams.from_gamma(0.5))
-    monkeypatch.setattr(dynamics, "spsolve", lambda a, b: np.full(b.size, garbage))
+    monkeypatch.setattr(dynamics, "spsolve", lambda a, b, **_: np.full(b.size, garbage))
     with pytest.raises(np.linalg.LinAlgError):
         stationary_distributions(gen)
 
@@ -430,3 +434,58 @@ def test_kmc_event_counts_are_poisson():
     counts = np.array([len(kmc_sample(tape, params, 10.0, c).events) for c in children],
                       dtype=np.float64)
     assert poisson_z(counts, 5.0) < 3.0
+
+
+def _replayed_events(tape, params, t_end, seed):
+    """Events of the Gillespie stream that `kmc_sample` documents, re-derived
+    with plain loops from `rates` on the current tape."""
+    rng = np.random.default_rng(seed)
+    s = tape.symbols.copy()
+    events, t = [], 0.0
+    while True:
+        w = rates(s, params).tolist()
+        total = 0.0
+        for rate in w:
+            total += rate
+        if total <= 0.0:
+            return events
+        t += rng.exponential(1.0 / total)
+        if t > t_end:
+            return events
+        u = rng.random() * total
+        site, running = len(w) - 1, 0.0
+        for i, rate in enumerate(w):
+            running += rate
+            if running > u:
+                site = i
+                break
+        events.append((t, site))
+        s[site] = -s[site]
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("n", [6, 10])
+def test_kmc_stream_replays_documented_draws(n, boundary):
+    # from n = 8 on, numpy's pairwise sum of the rates can differ from the
+    # left-to-right sum in the last bit, and with it the event times
+    for params, t_end in ((ModelParams.from_physical(0.5, 1.0, boundary=boundary), 4.0),
+                          (ModelParams.from_gamma(1.0, boundary=boundary), 30.0)):
+        for seed in range(6):
+            tape = SpinTape.random(n, np.random.default_rng([n, seed]), boundary)
+            expected = _replayed_events(tape, params, t_end, seed)
+            assert list(kmc_sample(tape, params, t_end, seed).events) == expected
+
+
+class _ZeroUniform(np.random.Generator):
+    """A generator whose uniforms are all 0.0, the lowest site draw."""
+
+    def random(self, *args, **kwargs):
+        return 0.0
+
+
+def test_kmc_site_draw_skips_zero_rates():
+    # a site draw of 0 equals the running sum over the leading zero-rate
+    # sites; the flipped site is the first whose running sum exceeds it
+    tape = SpinTape([1, 1, 1, -1, -1, 1])
+    events = kmc_sample(tape, ModelParams.from_gamma(1.0), 50.0, _ZeroUniform(np.random.PCG64(0))).events
+    assert [site for _, site in events[:3]] == [2, 1, 0]
