@@ -36,8 +36,8 @@ from itertools import accumulate
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import expm_multiply, spsolve
+from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from .core import Boundary, ModelParams, SpinTape, magnetization_vector, spin_table, state_energies
 
@@ -217,14 +217,18 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     The classes are the strongly connected components of the flip graph (the
     same for the graph and its transpose, so the generator is labelled as
     stored); a class is closed when no transition leaves it.  Each closed
-    class carries exactly one stationary law, found by solving its restricted
-    generator with the last row replaced by normalization, and zero outside
-    the class.  The sparse LU of that system orders its columns by minimum
-    degree on the pattern of A^T + A, which keeps the fill of the hypercube
-    flip graph small enough to solve n = 12 in about a second.  The laws
-    are ordered by the smallest state in their class.
-    A solve that leaves a residual of G p = 0 or of the normalization above
-    1e-8, or a non-finite one, raises numpy.linalg.LinAlgError.
+    class carries exactly one stationary law, zero outside the class.  Only
+    reversible classes are solved, and every generator `build_generator`
+    makes is reversible, at gamma = +-1 included: within a class the law
+    follows Kolmogorov's spanning-tree construction (Kelly, Reversibility and
+    Stochastic Networks, 1979, section 1.5), p(child) = p(parent) *
+    G[child, parent] / G[parent, child] along a breadth-first tree, summed in
+    logs so rates near 0 at gamma near +-1 lose no precision.  It needs no
+    linear solve and takes tens of milliseconds at n = 14.  The laws are ordered by
+    the smallest state in their class.
+    A tree edge whose rate is not positive and finite in both directions, or
+    a law that leaves a residual of G p = 0 or of the normalization above
+    1e-8 (as a non-reversible class does), raises numpy.linalg.LinAlgError.
     """
     g = gen.matrix
     _, label = connected_components(g, connection="strong")
@@ -236,16 +240,28 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     for start in np.setdiff1d(first, first[leaky]):
         members = np.flatnonzero(label == label[start])
         g_c = g[members][:, members]
-        a = sparse.vstack([g_c[:-1], np.ones((1, members.size))], format="csc")
-        b = np.zeros(members.size)
-        b[-1] = 1.0
-        p = spsolve(a, b, permc_spec="MMD_AT_PLUS_A")
+        log_p = np.zeros(members.size)
+        if members.size > 1:  # a lone state's law is 1; its tree has no edges
+            order, pred = breadth_first_order(g_c, 0, return_predecessors=True)
+            child = order[1:]
+            up = pred[child]
+            into, back = g_c[child, up], g_c[up, child]
+            both = np.concatenate([into, back])
+            if not np.all((0 < both) & (both < math.inf)):
+                raise np.linalg.LinAlgError(
+                    f"a class of {members.size} states has a tree edge without "
+                    "a positive finite rate both ways, so it is not reversible")
+            for c, u, step in zip(child.tolist(), up.tolist(),
+                                  (np.log(into) - np.log(back)).tolist()):
+                log_p[c] = log_p[u] + step
+        p = np.exp(log_p - log_p.max())
+        p /= p.sum()
         residual = float(np.abs(np.append(g_c @ p, p.sum() - 1.0)).max())
         if not residual <= 1e-8:
             raise np.linalg.LinAlgError(
-                f"stationary solve on a class of {members.size} states left residual {residual}")
+                f"stationary law of a class of {members.size} states left residual {residual}")
         law = np.zeros(gen.dim)
-        law[members] = p / p.sum()
+        law[members] = p
         basis.append(law)
     return basis
 

@@ -175,15 +175,18 @@ def check_gibbs_stationarity() -> CheckResult:
 
 def check_stationary_matches_gibbs() -> CheckResult:
     """The solved stationary distribution equals the Gibbs distribution
-    (total variation) for mixing parameters."""
+    (total variation) for mixing parameters, rings at |beta J| = 8.8 among
+    them, where |gamma| is within ~1e-15 of 1 and the consensus or
+    alternating tapes are left at rates of that order."""
     worst = 0.0
-    for n in (2, 4, 6, 8):
-        for bj in (0.5, 1.0):
-            params = ModelParams.from_physical(bj, 1.0)
-            dists = stationary_distributions(build_generator(n, params))
-            p = dists[0]
-            q = gibbs_probabilities(n, bj, 1.0, boundary=Boundary.PERIODIC)
-            worst = max(worst, 0.5 * float(np.abs(p - q).sum()))
+    cases = [(n, bj) for n in (2, 4, 6, 8) for bj in (0.5, 1.0)]
+    cases += [(n, bj) for n in (4, 8) for bj in (8.8, -8.8)]
+    for n, bj in cases:
+        params = ModelParams.from_physical(bj, 1.0)
+        dists = stationary_distributions(build_generator(n, params))
+        p = dists[0]
+        q = gibbs_probabilities(n, bj, 1.0, boundary=Boundary.PERIODIC)
+        worst = max(worst, 0.5 * float(np.abs(p - q).sum()))
     return _result("stationary_matches_gibbs", worst, 1e-10)
 
 

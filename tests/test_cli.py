@@ -9,6 +9,7 @@ from voterchain.cli import main
 from voterchain.core import Boundary, ModelParams, magnetization_vector
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
 from voterchain.thermo import thermo_report
+from voterchain.verify import run_verify
 from voterchain.voter import TuringVoter
 
 
@@ -274,7 +275,24 @@ def test_exact_rejects_oversized_chain(capsys):
     assert "error: a generator needs at least one cell" in capsys.readouterr().err
 
 
-def test_verify_report_and_exit_status(tmp_path):
+@pytest.fixture(scope="module")
+def verify_results():
+    """One `verify --fast` run with the negative control appended; the run
+    without it is the same list less its last row."""
+    return run_verify(seed=0, fast=True, inject_gamma_error=True)
+
+
+def _stub_run_verify(monkeypatch, results, inject):
+    """Feed the shared results to `main`, checking what it asks for."""
+    def stub(seed, fast, inject_gamma_error):
+        assert (seed, fast, inject_gamma_error) == (0, True, inject)
+        assert results[-1].name == "detailed_balance_injected"
+        return results if inject else results[:-1]
+    monkeypatch.setattr(cli, "run_verify", stub)
+
+
+def test_verify_report_and_exit_status(tmp_path, monkeypatch, verify_results):
+    _stub_run_verify(monkeypatch, verify_results, inject=False)
     out = tmp_path / "v.csv"
     # every check passes, the two entropy checks included, so the exit code is 0
     assert main(["verify", "--fast", "--out", str(out)]) == 0
@@ -289,7 +307,8 @@ def test_verify_report_and_exit_status(tmp_path):
         float(fields[2]), float(fields[3])
 
 
-def test_verify_negative_control(tmp_path):
+def test_verify_negative_control(tmp_path, monkeypatch, verify_results):
+    _stub_run_verify(monkeypatch, verify_results, inject=True)
     out = tmp_path / "v.csv"
     assert main(["verify", "--fast", "--inject-gamma-error", "--out", str(out)]) == 1
     rows = {line.split(",")[0]: line.split(",") for line in _data_lines(out)[1:]}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import neighbourhoods, uniformized_kernel
+from scipy import sparse
 from scipy.linalg import expm
 
 from voterchain.core import (
@@ -17,9 +18,9 @@ from voterchain.core import (
     magnetization_vector,
     spin_table,
 )
-from voterchain import dynamics
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
+    GeneratorMatrix,
     _live_rates,
     _rate_lookup,
     _refresh,
@@ -209,17 +210,21 @@ def test_stationary_unbiased_is_uniform():
 
 
 def test_stationary_matches_gibbs():
-    # n = 12 is affordable since the solve orders its LU by minimum degree
-    for boundary in Boundary:
-        for n, bj in ((2, 0.5), (2, -1.0), (5, 0.5), (5, -1.0), (12, 0.5)):
-            params = ModelParams.from_physical(bj, 1.0, boundary=boundary)
-            gen = build_generator(n, params)
-            dists = stationary_distributions(gen)
-            assert len(dists) == 1
-            gibbs = gibbs_probabilities(n, bj, 1.0, boundary=boundary)
-            assert np.abs(dists[0] - gibbs).max() <= 1e-10
-            assert 0.5 * np.abs(dists[0] - gibbs).sum() <= 1e-10
-            assert np.abs(gen.matrix @ gibbs).max() <= 1e-10
+    # the spanning-tree products reach the n = 14 cap in milliseconds, and
+    # rings at |beta J| = 8.8 (|gamma| within ~1e-15 of 1, consensus or
+    # alternating exit rates ~1e-15) still give the Gibbs law
+    cases = [(boundary, n, bj) for boundary in Boundary
+             for n, bj in ((2, 0.5), (2, -1.0), (5, 0.5), (5, -1.0), (12, 0.5), (14, 0.5))]
+    cases += [(Boundary.PERIODIC, n, bj) for n in (4, 8, 12) for bj in (8.8, -8.8)]
+    for boundary, n, bj in cases:
+        params = ModelParams.from_physical(bj, 1.0, boundary=boundary)
+        gen = build_generator(n, params)
+        dists = stationary_distributions(gen)
+        assert len(dists) == 1
+        gibbs = gibbs_probabilities(n, bj, 1.0, boundary=boundary)
+        assert np.abs(dists[0] - gibbs).max() <= 1e-10
+        assert 0.5 * np.abs(dists[0] - gibbs).sum() <= 1e-10
+        assert np.abs(gen.matrix @ gibbs).max() <= 1e-10
 
 
 def test_stationary_voter_absorbing_basis():
@@ -293,15 +298,33 @@ def test_stationary_basis_spans_closed_classes(n, gamma, boundary):
     assert supports.sum(axis=0).max() <= 1
     firsts = [int(np.flatnonzero(s)[0]) for s in supports]
     assert firsts == sorted(firsts)
+    # the rule is invariant under s -> -s, which maps state i to 2^n - 1 - i,
+    # so the basis as a whole is too, however small the exit rates near +-1
+    total = np.sum(basis, axis=0)
+    assert np.abs(total - total[::-1]).max() <= 1e-12
 
 
-@pytest.mark.parametrize("garbage", [np.nan, 0.0, 7.0])
-def test_stationary_solve_failure_raises(monkeypatch, garbage):
-    # a solve that misses G p = 0 or the normalization is an error, not a law
-    gen = build_generator(4, ModelParams.from_gamma(0.5))
-    monkeypatch.setattr(dynamics, "spsolve", lambda a, b, **_: np.full(b.size, garbage))
-    with pytest.raises(np.linalg.LinAlgError):
-        stationary_distributions(gen)
+def _flip_four_cycle(forward, back):
+    """Generator on the two-cell flip cycle 0 -> 1 -> 3 -> 2 -> 0, with rate
+    `forward` along the cycle and `back` against it."""
+    g = np.zeros((4, 4))
+    cycle = [0, 1, 3, 2]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        g[b, a], g[a, b] = forward, back
+    g -= np.diag(g.sum(axis=0))
+    return GeneratorMatrix(n_sites=2, matrix=sparse.csc_array(g))
+
+
+@pytest.mark.parametrize("back", [0.0, 7.0, np.nan])
+def test_stationary_solve_failure_raises(back):
+    # one class, but not reversible: rates one way only (0.0), both ways with
+    # a product of ratios around the cycle of (2/7)^4, not 1, so the tree law
+    # misses G p = 0 (7.0), or a NaN rate; each raises before any warning
+    gen = _flip_four_cycle(2.0, back)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            stationary_distributions(gen)
 
 
 def test_detailed_balance_residual_small():
