@@ -211,7 +211,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     summary_lines = _header(args) + ["time,mean_magnetization"]
     for t, p in zip(times, _stepped(p0, gen, times)):
         fields = [_fmt(t, d), 0.0] * 2**n
-        fields[1::2] = np.clip(p, 0.0, None).tolist()
+        fields[1::2] = p.tolist()
         dist_lines.append(block % tuple(fields))
         summary_lines.append(f"{_fmt(t, d)},{_fmt(float(m @ p), d)}")
     _write_text(args.out, dist_lines)
@@ -377,10 +377,32 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     return [argv[0]] + _config_tokens(path) + argv[1:]
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Join a negative number to the flag before it (`--t-end -1e3` becomes
+    `--t-end=-1e3`), since argparse takes `-1e3` or `-inf` for an option and
+    fails with its own `expected one argument` before the value is checked."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_apply_config_file(argv))
+        args = build_parser().parse_args(_attach_negative_values(_apply_config_file(argv)))
         if args.digits < 0:
             raise ValueError("--digits must be nonnegative")
         t_end = getattr(args, "t_end", None)

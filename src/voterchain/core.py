@@ -147,13 +147,14 @@ def spin_table(n: int) -> np.ndarray:
     return table
 
 
-def state_energies(n: int, coupling: float,
-                   boundary: Boundary = Boundary.OPEN) -> np.ndarray:
+def state_energies(n: int, coupling: float, boundary: Boundary) -> np.ndarray:
     """Zero-field chain energy -J * sum_bonds s_i s_{i+1} of all 2^n
     configurations, index order.
 
     Open boundary sums the N-1 interior bonds; periodic adds the wrap-around
-    bond (for N = 1 that bond is the cell with itself, a constant -J).
+    bond (for N = 1 that bond is the cell with itself, a constant -J).  The
+    boundary has no default, so a ring is never silently compared with an
+    open chain.
     """
     s = spin_table(n).astype(np.float64)
     bonds = (s[:, :-1] * s[:, 1:]).sum(axis=1)

@@ -158,8 +158,10 @@ def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: fl
 
 
 def gibbs_probabilities(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
-                        boundary: Boundary = Boundary.OPEN) -> np.ndarray:
-    """Gibbs distribution e^{-beta H}/Z over all 2^n configurations, index order."""
+                        *, boundary: Boundary) -> np.ndarray:
+    """Gibbs distribution e^{-beta H}/Z over all 2^n configurations, index
+    order.  The boundary is a required keyword: `ModelParams` defaults to a
+    ring, so no default here could match every caller's chain."""
     weights = _gibbs_weights(n, coupling, temperature, boltzmann, boundary)[-1]
     return weights / weights.sum()
 

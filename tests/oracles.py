@@ -2,14 +2,16 @@
 
 Each one computes a quantity by a route the package does not take: the energy
 of one tape by its bonds, the neighbourhood codes of many tapes at once, the
-one-step kernel of the discrete machine, and the transfer-matrix partition
-functions in log space.
+one-step kernel of the discrete machine, the action of exp(G t) by a
+truncated Taylor series, and the transfer-matrix partition functions in log
+space.
 """
 
 import math
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.linalg import expm_multiply
 
 from voterchain.core import Boundary, SpinTape
 from voterchain.dynamics import GeneratorMatrix
@@ -44,6 +46,13 @@ def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:
     uniformly and flips with probability w_i; K^j averaged over a Poisson(Nt)
     step count reproduces exp(G t)."""
     return sparse.identity(gen.dim, format="csc") + gen.matrix * (1.0 / gen.n_sites)
+
+
+def expm_action(gen: GeneratorMatrix, t: float, p0: np.ndarray) -> np.ndarray:
+    """exp(G t) p0 by SciPy's scaled truncated Taylor series (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)), which shares no step with
+    the package's uniformization.  It warns on a subnormal t."""
+    return expm_multiply(gen.matrix * t, p0)
 
 
 def _log_cosh(x: float) -> float:

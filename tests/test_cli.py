@@ -216,7 +216,7 @@ def test_exact_single_step_bytes_match_direct_evolution(tmp_path, digits, bounda
     d = digits
     dist, summary = ["time,state_index,probability"], ["time,mean_magnetization"]
     for t, p in ((0.0, p0), (t_end, evolve_exact(p0, gen, t_end))):
-        dist += [f"{t:.{d}g},{i},{v:.{d}g}" for i, v in enumerate(np.clip(p, 0.0, None))]
+        dist += [f"{t:.{d}g},{i},{v:.{d}g}" for i, v in enumerate(p)]
         summary.append(f"{t:.{d}g},{float(m @ p):.{d}g}")
     assert _data_lines(out) == dist
     assert _data_lines(tmp_path / "x.summary.csv") == summary
@@ -256,17 +256,28 @@ def test_exact_rejects_negative_end_time(tmp_path, capsys):
         assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
 
 
-def test_exact_clips_negative_roundoff_in_distribution_only(tmp_path, monkeypatch):
-    # a roundoff-negative entry prints as 0 in the distribution, while the
-    # summary keeps the unclipped mean magnetization m @ p
-    p = np.array([-1e-18, 0.5, 0.5, 1e-18])
+def test_exact_writes_each_propagated_vector_as_given(tmp_path, monkeypatch):
+    # the distribution prints the entries of P(t) unchanged, since P(t) is
+    # nonnegative by construction, and the summary is m @ P(t) of the same vector
+    p = np.array([0.0, 0.5, 0.5, 1e-18])
     monkeypatch.setattr(cli, "_stepped", lambda p0, gen, times: (p for _ in times))
     out = tmp_path / "dist.csv"
     assert main(["exact", "--n", "2", "--gamma", "0.5", "--t-steps", "1",
                  "--out", str(out)]) == 0
     assert _data_lines(out)[1:] == ["0,0,0", "0,1,0.5", "0,2,0.5", "0,3,1e-18",
                                     "1,0,0", "1,1,0.5", "1,2,0.5", "1,3,1e-18"]
-    assert _data_lines(tmp_path / "dist.summary.csv")[1:] == ["0,2e-18", "1,2e-18"]
+    assert _data_lines(tmp_path / "dist.summary.csv")[1:] == ["0,1e-18", "1,1e-18"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "exact"])
+@pytest.mark.parametrize("t_end", ["-1", "-1e3", "-inf"])
+def test_negative_end_time_reaches_the_cli_check(tmp_path, capsys, command, t_end):
+    # argparse on its own reads -1e3 and -inf as options, not as values
+    out = tmp_path / "x.csv"
+    assert main([command, "--n", "3", "--gamma", "0.5", "--t-end", t_end,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exact_rejects_oversized_chain(capsys):

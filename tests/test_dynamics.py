@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import neighbourhoods, uniformized_kernel
+from oracles import expm_action, neighbourhoods, uniformized_kernel
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -200,6 +200,24 @@ def test_evolve_exact_conserves_probability():
             p = evolve_exact(p0, gen, t)
             worst = max(worst, abs(float(p.sum()) - 1.0), -float(p.min()))
     assert worst <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)),
+       t=st.floats(0.0, 50.0, allow_subnormal=False), seed=st.integers(0, 2**32 - 1))
+@example(n=10, gamma=1.0, boundary=Boundary.PERIODIC, t=600.0, seed=0)
+def test_evolve_exact_matches_expm_action(n, gamma, boundary, t, seed):
+    # uniformization against the Taylor-series oracle from a random law, out
+    # to Lambda t = 6000; the oracle's own warning rules out subnormal t,
+    # which the underflow test covers.  P(t) is a sum of nonnegative terms.
+    gen = build_generator(n, ModelParams.from_gamma(gamma, boundary=boundary))
+    p0 = np.random.default_rng(seed).random(gen.dim)
+    p0 /= p0.sum()
+    p = evolve_exact(p0, gen, t)
+    assert np.abs(p - expm_action(gen, t, p0)).max() <= 1e-12
+    assert abs(float(p.sum()) - 1.0) <= 1e-12
+    assert p.min() >= 0.0
 
 
 def test_stationary_unbiased_is_uniform():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import log_partition_open, log_partition_periodic
 
-from voterchain.core import Boundary, ModelParams
+from voterchain.core import Boundary, ModelParams, state_energies
 from voterchain.thermo import (
     LN2,
     entropy,
@@ -194,6 +194,15 @@ def test_entropy_exceeds_gibbs_entropy_by_documented_offset():
                 offset, rel=1e-11)
     assert entropy(8, 1.0, 1.0) - gibbs_entropy(8, 1.0, 1.0) == pytest.approx(
         S_8_X1 - S_GIBBS_8_X1, rel=1e-12)
+
+
+def test_energies_and_gibbs_law_need_a_boundary():
+    # ModelParams defaults to a ring, so a default here could silently
+    # compare a ring's law with an open chain's
+    with pytest.raises(TypeError):
+        gibbs_probabilities(4, 1.0, 1.0)
+    with pytest.raises(TypeError):
+        state_energies(4, 1.0)
 
 
 def test_gibbs_probabilities():
