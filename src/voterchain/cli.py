@@ -1,6 +1,11 @@
 """Command-line harness: thermodynamic tables, tape-machine simulation,
 exact distribution evolution, the verification suite, and parameter sweeps.
 
+`thermo` and `sweep` print the open-chain closed forms, so they take the
+physical triple and no boundary.  `simulate` and `exact` take either
+--gamma or the triple --coupling/--temperature/--boltzmann, with a boundary.
+The Boltzmann constant k is --boltzmann when given and 1 otherwise.
+
 Output is CSV with `#` comment lines recording the artifact version, the
 resolved configuration, and the seed; identical configurations give
 byte-identical files whether trajectories run serially or across workers.
@@ -22,7 +27,7 @@ import numpy as np
 from . import __version__
 from .core import Boundary, ModelParams, SpinTape, decode_state, encode_state, magnetization_vector
 from .dynamics import _stepped, build_generator, point_mass, uniform_distribution
-from .thermo import SI_BOLTZMANN, thermo_report
+from .thermo import thermo_report
 from .verify import run_verify
 from .voter import Outcome, TuringVoter
 
@@ -65,25 +70,17 @@ def _write_text(path: str, lines: list[str]) -> None:
             fh.write(text)
 
 
-def _resolve_boltzmann(args: argparse.Namespace) -> float:
-    if args.units == "si":
-        if args.boltzmann is None:
-            raise ValueError("--units si requires an explicit --boltzmann")
-        return args.boltzmann
-    return 1.0 if args.boltzmann is None else args.boltzmann
-
-
 def _resolve_params(args: argparse.Namespace) -> ModelParams:
     boundary = Boundary(args.boundary)
-    triple = args.coupling is not None or args.temperature is not None
+    triple = any(v is not None for v in (args.coupling, args.temperature, args.boltzmann))
     if args.gamma is not None and triple:
-        raise ValueError("give either --gamma or --coupling/--temperature, not both")
+        raise ValueError("give either --gamma or --coupling/--temperature/--boltzmann, not both")
     if args.gamma is not None:
         return ModelParams.from_gamma(args.gamma, boundary=boundary)
     if args.coupling is None or args.temperature is None:
         raise ValueError("need --gamma, or both --coupling and --temperature")
-    return ModelParams.from_physical(args.coupling, args.temperature,
-                                     _resolve_boltzmann(args), boundary=boundary)
+    k = 1.0 if args.boltzmann is None else args.boltzmann
+    return ModelParams.from_physical(args.coupling, args.temperature, k, boundary=boundary)
 
 
 def _initial_tape(spec: str, n: int, boundary: Boundary,
@@ -118,11 +115,9 @@ THERMO_COLUMNS = "N,J,T,k,gamma,F,U,S,landauer_floor,gap"
 
 
 def cmd_thermo(args: argparse.Namespace) -> int:
-    if args.gamma is not None:
-        raise ValueError("closed-form thermodynamics need --coupling and --temperature")
     if args.coupling is None or args.temperature is None:
         raise ValueError("need both --coupling and --temperature")
-    k = _resolve_boltzmann(args)
+    k = 1.0 if args.boltzmann is None else args.boltzmann
     lines = _header(args) + [THERMO_COLUMNS,
                              _thermo_row(args.n, args.coupling, args.temperature, k, args.digits)]
     _write_text(args.out, lines)
@@ -193,6 +188,8 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    if args.t_steps < 1:
+        raise ValueError("--t-steps must be at least 1")
     params = _resolve_params(args)
     n = args.n
     gen = build_generator(n, params)
@@ -200,8 +197,6 @@ def cmd_exact(args: argparse.Namespace) -> int:
         p0 = uniform_distribution(n)
     else:
         p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary, None)), n)
-    if args.t_steps < 1:
-        raise ValueError("--t-steps must be at least 1")
     times = np.linspace(0.0, args.t_end, args.t_steps + 1)
     m = magnetization_vector(n)
     d = args.digits
@@ -256,17 +251,11 @@ def _parse_betaj_range(text: str) -> np.ndarray:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lines = _header(args) + [THERMO_COLUMNS]
-    if args.petabit:
-        if args.sweep_n or args.sweep_betaj:
-            raise ValueError("--petabit is a preset; drop the sweep ranges")
-        lines.append(_thermo_row(10**15, 0.0, 300.0, SI_BOLTZMANN, args.digits))
-        _write_text(args.out, lines)
-        return 0
     if not args.sweep_n or not args.sweep_betaj:
-        raise ValueError("sweep needs --sweep-n and --sweep-betaj (or --petabit)")
+        raise ValueError("sweep needs --sweep-n and --sweep-betaj")
+    lines = _header(args) + [THERMO_COLUMNS]
     temperature = 1.0 if args.temperature is None else args.temperature
-    k = _resolve_boltzmann(args)
+    k = 1.0 if args.boltzmann is None else args.boltzmann
     for n in _parse_n_range(args.sweep_n):
         for x in _parse_betaj_range(args.sweep_betaj):
             lines.append(_thermo_row(n, float(x) * k * temperature, temperature, k, args.digits))
@@ -279,16 +268,18 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
     sub.add_argument("--seed", type=int, default=0, help="master seed, recorded in headers")
     sub.add_argument("--digits", type=int, default=9, help="significant digits in output")
-    sub.add_argument("--units", choices=("natural", "si"), default="natural",
-                     help="natural: k defaults to 1; si: --boltzmann required")
+
+
+def _add_physical(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--n", type=int, required=True, help="number of cells")
+    sub.add_argument("--coupling", type=float, help="bond energy J")
+    sub.add_argument("--temperature", type=float, help="temperature T")
+    sub.add_argument("--boltzmann", type=float, help="Boltzmann constant k (default 1)")
 
 
 def _add_model(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, required=True, help="number of cells")
+    _add_physical(sub)
     sub.add_argument("--gamma", type=float, help="flip-rate bias in [-1, 1]")
-    sub.add_argument("--coupling", type=float, help="bond energy J")
-    sub.add_argument("--temperature", type=float, help="temperature T")
-    sub.add_argument("--boltzmann", type=float, help="Boltzmann constant k")
     sub.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
 
 
@@ -298,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"voterchain {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("thermo", help="one closed-form thermodynamics row")
-    _add_model(p)
+    p = commands.add_parser("thermo", help="one closed-form thermodynamics row (open chain)")
+    _add_physical(p)
     _add_common(p)
     p.set_defaults(func=cmd_thermo)
 
@@ -333,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append a negative control that must fail")
     p.set_defaults(func=cmd_verify)
 
-    p = commands.add_parser("sweep", help="thermodynamics over a parameter grid")
+    p = commands.add_parser("sweep", help="open-chain thermodynamics over a parameter grid")
     _add_common(p)
     p.add_argument("--sweep-n", help="cell-count range a:b (inclusive)")
     p.add_argument("--sweep-betaj", help="J/(kT) range a:b:steps")
     p.add_argument("--temperature", type=float, help="temperature for the grid (default 1)")
-    p.add_argument("--boltzmann", type=float, help="Boltzmann constant k")
-    p.add_argument("--petabit", action="store_true",
-                   help="preset: 10^15 cells at 300 K with the SI Boltzmann constant")
+    p.add_argument("--boltzmann", type=float, help="Boltzmann constant k (default 1)")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -139,15 +139,18 @@ def _rate_lookup(n: int, params: ModelParams) -> tuple[tuple[float, ...], ...]:
     return tuple(rows[k] for k in row_of.ravel().tolist())
 
 
-def _live_rates(symbols: list[int], params: ModelParams
-                ) -> tuple[list[float], list[int], tuple[tuple[float, ...], ...]]:
-    """Rates of a tape about to be sampled, given as a list of its symbols,
-    with the neighbourhood codes and the lookup table through which
-    `_refresh` keeps them current; the start rates are read from the same
-    table."""
+def _live_rates(tape: SpinTape, params: ModelParams
+                ) -> tuple[list[int], list[float], list[int], tuple[tuple[float, ...], ...]]:
+    """The symbols of a tape about to be sampled, as a list, with its rates,
+    the neighbourhood codes and the lookup table through which `_refresh`
+    keeps them current; the start rates are read from the same table.  A
+    tape whose boundary is not that of `params` is rejected."""
+    if tape.boundary is not params.boundary:
+        raise ValueError("tape and params boundary conditions disagree")
+    symbols = tape.symbols.tolist()
     codes = _neighbourhood_codes(symbols)
     table = _rate_lookup(len(symbols), params)
-    return [row[c] for row, c in zip(table, codes)], codes, table
+    return symbols, [row[c] for row, c in zip(table, codes)], codes, table
 
 
 def _refresh(site: int, codes: list[int], w: list[float],
@@ -355,13 +358,12 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
     """Worst single-flip flux imbalance against the Gibbs weights of the
     chain's own Hamiltonian.  Requires the physical triple, which fixes beta.
     """
-    if not params.has_temperature:
-        raise ValueError("detailed balance needs the physical triple (no beta available)")
+    beta = params.beta
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
     w = rates(spin_table(n), params)
     energies = state_energies(n, params.coupling, params.boundary)
-    return flux_residual(w, energies, params.beta)
+    return flux_residual(w, energies, beta)
 
 
 def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,
@@ -400,12 +402,10 @@ def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,
     """
     if not 0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
-    if tape0.boundary is not params.boundary:
-        raise ValueError("tape and params boundary conditions disagree")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    _, w, codes, table = _live_rates(tape0, params)
+    rng = np.random.default_rng(seed)
     exponential, uniform = rng.exponential, rng.random
     last = tape0.n - 1
-    w, codes, table = _live_rates(tape0.symbols.tolist(), params)
     events: list[tuple[float, int]] = []
     t = 0.0
     while True:

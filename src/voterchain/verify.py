@@ -73,12 +73,15 @@ def multinomial_z(counts: np.ndarray, probs: np.ndarray) -> float:
 
     Cells with expected count below 5 are pooled (smallest first) before the
     statistic is formed; the score is (chi2 - df)/sqrt(2 df) with df = cells-1,
-    so values within about 3 are consistent with pure sampling noise.
+    so values within about 3 are consistent with pure sampling noise.  Cells
+    whose expected counts agree in single precision are taken in state order,
+    so which of several equally likely states is pooled does not turn on
+    roundoff in the law.
     """
     counts = np.asarray(counts, dtype=np.float64)
     total = counts.sum()
     expected = np.asarray(probs, dtype=np.float64) * total
-    order = np.argsort(expected)
+    order = np.lexsort((np.arange(expected.size), expected.astype(np.float32)))
     tail_cut = int(np.searchsorted(np.cumsum(expected[order]), 5.0)) + 1
     keep = order[tail_cut:]
     keep = keep[expected[keep] >= 5.0]

@@ -74,16 +74,13 @@ class TuringVoter:
 
     def __init__(self, tape: SpinTape, params: ModelParams,
                  seed: int | np.random.SeedSequence | np.random.Generator) -> None:
-        if tape.boundary is not params.boundary:
-            raise ValueError("tape and params boundary conditions disagree")
         self.params = params
-        self._s = tape.symbols.tolist()
-        self._w, self._codes, self._table = _live_rates(self._s, params)
+        self._s, self._w, self._codes, self._table = _live_rates(tape, params)
         # cyclic bonds whose symbols differ, each seen from both its sites:
         # zero exactly on a uniform tape, on an open chain too, where the
         # codes read the wrap bond as the only one added
         self._walls = sum(map(_WALLS.__getitem__, self._codes)) // 2
-        self._rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed)
         self._draws = iter(())  # the first block is drawn by the first attempt
         self._refill_size = _FIRST_REFILL
         self.step_count = 0

@@ -1,5 +1,9 @@
+import argparse
 import math
+import re
+import shlex
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,17 +43,28 @@ def test_header_records_version_config_seed(tmp_path):
     assert header[0].startswith("# voterchain ")
     assert header[1] == "# command: thermo"
     assert "coupling=0.5" in header[2] and "n=2" in header[2]
+    # the closed forms are those of the open chain, so no boundary is recorded
+    assert "boundary=" not in header[2]
     assert header[3] == "# seed: 77"
 
 
 def test_thermo_rejects_gamma_only(capsys):
-    assert main(["thermo", "--n", "4", "--gamma", "0.5"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # the closed forms need the physical triple, so thermo has no --gamma
+    with pytest.raises(SystemExit) as exc:
+        main(["thermo", "--n", "4", "--gamma", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma" in capsys.readouterr().err
 
 
 def test_model_flags_are_exclusive(capsys):
     assert main(["simulate", "--n", "4", "--gamma", "0.5", "--coupling", "1",
                  "--temperature", "1"]) == 2
+    capsys.readouterr()
+    # k enters only through the physical triple, so a --gamma run cannot take it
+    for command in ("simulate", "exact"):
+        assert main([command, "--n", "4", "--gamma", "0.5", "--boltzmann", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: give either --gamma or --coupling/--temperature/--boltzmann, not both\n")
     assert main(["simulate", "--n", "4"]) == 2
     assert main(["simulate", "--n", "4", "--gamma", "1", "--trajectories", "-1"]) == 2
     assert "error: --trajectories must be nonnegative" in capsys.readouterr().err
@@ -68,11 +83,54 @@ def test_simulate_rejects_negative_end_time(capsys):
     ["simulate", "--n", "3", "--gamma", "0.5"],
     ["exact", "--n", "3", "--gamma", "0.5"],
     ["verify", "--fast"],
-    ["sweep", "--petabit"],
+    ["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1:2"],
 ])
 def test_negative_digits_rejected(argv, capsys):
     assert main(argv + ["--digits", "-1"]) == 2
     assert capsys.readouterr().err == "error: --digits must be nonnegative\n"
+
+
+_COMMON = ["--config", "--digits", "--out", "--seed"]
+_MODEL = ["--boltzmann", "--boundary", "--coupling", "--gamma", "--n", "--temperature"]
+
+
+def test_every_subcommand_lists_its_options():
+    # each accepted flag changes what its command computes or where it writes
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices
+    options = {name: sorted(opt for action in sub._actions for opt in action.option_strings
+                            if opt not in ("-h", "--help"))
+               for name, sub in subcommands.items()}
+    assert options == {
+        "thermo": sorted(_COMMON + ["--boltzmann", "--coupling", "--n", "--temperature"]),
+        "simulate": sorted(_COMMON + _MODEL + ["--events", "--init", "--max-steps",
+                                               "--t-end", "--trajectories", "--workers"]),
+        "exact": sorted(_COMMON + _MODEL + ["--init", "--t-end", "--t-steps"]),
+        "verify": sorted(_COMMON + ["--fast", "--inject-gamma-error"]),
+        "sweep": sorted(_COMMON + ["--boltzmann", "--sweep-betaj", "--sweep-n",
+                                   "--temperature"]),
+    }
+    assert sum(map(len, options.values())) == 51
+
+
+def _readme_command_lines():
+    """Every `voterchain ...` line of the README's command-line block, with
+    its continuation lines joined and its trailing comment dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("voterchain ")]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 7
+    parser = cli.build_parser()
+    for line in lines:
+        tokens = shlex.split(line, comments=True)
+        assert tokens[0] == "voterchain"
+        parser.parse_args(tokens[1:])
 
 
 def test_simulate_runs_every_attempt_through_the_machine_methods(tmp_path, monkeypatch):
@@ -107,9 +165,16 @@ def test_simulate_runs_every_attempt_through_the_machine_methods(tmp_path, monke
     assert calls["flips"] == len(rows) > 0
 
 
-def test_si_units_require_boltzmann():
-    assert main(["thermo", "--n", "2", "--coupling", "1e-21", "--temperature", "300",
-                 "--units", "si"]) == 2
+def test_boltzmann_defaults_to_one(tmp_path):
+    # k is --boltzmann when given and 1 otherwise, and the header records only
+    # what was given
+    out, explicit = tmp_path / "t.csv", tmp_path / "k.csv"
+    base = ["thermo", "--n", "2", "--coupling", "0.5", "--temperature", "2"]
+    assert main(base + ["--out", str(out)]) == 0
+    assert main(base + ["--boltzmann", "1", "--out", str(explicit)]) == 0
+    assert _data_lines(out) == _data_lines(explicit)
+    assert "boltzmann=" not in out.read_text().splitlines()[2]
+    assert "boltzmann=1.0" in explicit.read_text().splitlines()[2]
 
 
 def test_simulate_uniform_start_halts_immediately(tmp_path):
@@ -358,8 +423,11 @@ def test_single_point_sweep_matches_thermo(tmp_path):
 
 
 def test_sweep_petabit_preset(tmp_path):
+    # erasing 10^15 bits at 300 K in SI units is one thermo row
     out = tmp_path / "p.csv"
-    assert main(["sweep", "--petabit", "--out", str(out)]) == 0
+    assert main(["thermo", "--n", "1000000000000000", "--coupling", "0",
+                 "--temperature", "300", "--boltzmann", "1.380649e-23",
+                 "--out", str(out)]) == 0
     row = _data_lines(out)[1].split(",")
     n, temperature, floor = float(row[0]), float(row[2]), float(row[8])
     assert n == 1e15 and temperature == 300.0
@@ -372,7 +440,7 @@ def test_sweep_rejects_bad_ranges():
     assert main(["sweep", "--sweep-n", "4:1", "--sweep-betaj", "0:1:2"]) == 2
     assert main(["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1:0"]) == 2
     assert main(["sweep"]) == 2
-    assert main(["sweep", "--petabit", "--sweep-n", "1:2"]) == 2
+    assert main(["sweep", "--sweep-n", "1:2"]) == 2
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):

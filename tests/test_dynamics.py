@@ -105,7 +105,8 @@ def test_refresh_after_flips_matches_rates(n, gamma, boundary, data):
     params = ModelParams.from_gamma(gamma, boundary=boundary)
     s = np.array(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)),
                  dtype=np.int8)
-    w, codes, table = _live_rates(s.tolist(), params)
+    symbols, w, codes, table = _live_rates(SpinTape(s, boundary), params)
+    assert symbols == s.tolist()
     assert codes == neighbourhoods(s).tolist()
     # the start rates come from the lookup table, bit for bit those of `rates`
     assert np.array(w).tobytes() == rates(s, params).tobytes()

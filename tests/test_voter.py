@@ -270,3 +270,28 @@ def test_attempts_replay_the_documented_refills(boundary):
     assert events == rebuilt
     # the generator passed in is drawn ahead by whole refills
     assert stream.bit_generator.state == replay.bit_generator.state
+
+
+def test_multinomial_z_pools_tied_cells_by_state_index():
+    # cells 2 and 3 are equally likely; whichever is 1 ulp larger in the law,
+    # the tail pool takes cell 2, so z is the statistic with cell 2 pooled
+    counts = np.array([0, 3, 3000, 3100, 3895, 2])
+    law = np.array([1e-4, 2e-4, 0.3, 0.3, 0.0, 1e-4])
+    law[4] = 1.0 - law.sum()
+    expected = law * counts.sum()
+    c = np.array([counts[[0, 1, 5, 2]].sum(), counts[3], counts[4]], dtype=float)
+    e = np.array([expected[[0, 1, 5, 2]].sum(), expected[3], expected[4]])
+    pooled_at_2 = (((c - e) ** 2 / e).sum() - 2) / math.sqrt(4)
+    for tied in (2, 3):
+        probs = law.copy()
+        probs[tied] = np.nextafter(probs[tied], 1.0)
+        assert multinomial_z(counts, probs) == pytest.approx(pooled_at_2, rel=1e-12)
+
+
+def test_multinomial_z_keeps_every_cell_of_a_uniform_law():
+    # a tie is broken, not pooled whole: eight equal cells stay eight cells
+    counts = np.array([120, 130, 125, 110, 140, 125, 118, 132])
+    e = counts.sum() / counts.size
+    chi2 = float(((counts - e) ** 2 / e).sum())
+    assert multinomial_z(counts, np.full(8, 1 / 8)) == pytest.approx(
+        (chi2 - 7) / math.sqrt(14), rel=1e-12)
