@@ -134,7 +134,7 @@ def _run_trajectory(payload) -> tuple[int, Outcome]:
     if not want_events:
         # a fresh array, not a slice, so the record's buffer is freed here
         outcome = dataclasses.replace(outcome, flips=np.empty((0, 3), dtype=np.int64))
-    return int(tape.symbols.sum(dtype=np.int64)), outcome
+    return sum(tape.symbols), outcome
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -150,6 +150,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--max-steps must be nonnegative")
     if args.trajectories < 0:
         raise ValueError("--trajectories must be nonnegative")
+    if n < 1:
+        raise ValueError("--n must be at least 1")
     want_events = args.events is not None
     children = np.random.SeedSequence(args.seed).spawn(args.trajectories)
     payloads = [(args.init, n, params, max_steps, child, want_events) for child in children]
@@ -163,7 +165,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines = _header(args) + ["trajectory_id,halted,consensus_symbol,steps,final_magnetization"]
     for i, (_, out) in enumerate(results):
         sym = "" if out.consensus_symbol is None else str(out.consensus_symbol)
-        final_m = int(out.final_tape.symbols.sum(dtype=np.int64)) / n
+        final_m = sum(out.final_tape.symbols) / n
         lines.append(f"{i},{'true' if out.halted else 'false'},{sym},{out.steps},{_fmt(final_m, d)}")
     _write_text(args.out, lines)
     if want_events:

@@ -1,9 +1,12 @@
 """Spin-tape configurations, state indexing, energies, and shared observables.
 
 A tape of N cells with symbols in {-1, +1} is simultaneously the working
-tape of the stochastic machine and a spin configuration of a 1D chain.
-Configurations are enumerated by an integer index where bit i holds
-(symbol[i] + 1) / 2, site 0 in the least-significant bit.
+tape of the stochastic machine and a spin configuration of a 1D chain; its
+symbols are a tuple of Python ints.  The machine's bias is Glauber's
+gamma = tanh(2J/kT), and `ModelParams` keeps of the physics only
+beta_j = J/(kT), the one number the Gibbs weights need.  Configurations are
+enumerated by an integer index where bit i holds (symbol[i] + 1) / 2, site 0
+in the least-significant bit.
 """
 
 from __future__ import annotations
@@ -21,48 +24,37 @@ class Boundary(Enum):
     OPEN = "open"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpinTape:
-    """Immutable sequence of N symbols in {-1, +1} with a boundary condition.
-
-    Tapes compare and hash by value: their boundary and their symbols.
+    """N symbols in {-1, +1}, held as a tuple of Python ints, with a
+    boundary condition.  Any flat sequence or array of +-1 values is
+    accepted; tapes compare and hash by value.
     """
 
-    symbols: np.ndarray
+    symbols: tuple[int, ...]
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
         arr = np.asarray(self.symbols)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("tape needs at least one cell")
-        # checked before the cast to int8, which would truncate 1.5 and wrap 255
-        if not {-1, 1}.issuperset(arr.tolist()):
+        # checked before the conversion to int, which would truncate 1.5
+        symbols = arr.tolist()
+        if not {-1, 1}.issuperset(symbols):
             raise ValueError("tape symbols must be -1 or +1")
-        arr = arr.astype(np.int8)
-        arr.setflags(write=False)
-        object.__setattr__(self, "symbols", arr)
-
-    def _key(self) -> tuple[Boundary, bytes]:
-        return self.boundary, self.symbols.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, SpinTape) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        object.__setattr__(self, "symbols", tuple(map(int, symbols)))
 
     @property
     def n(self) -> int:
-        return self.symbols.size
+        return len(self.symbols)
 
     @classmethod
     def uniform(cls, n: int, symbol: int = 1, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
-        return cls(np.full(n, symbol, dtype=np.int8), boundary)
+        return cls((symbol,) * n, boundary)
 
     @classmethod
     def alternating(cls, n: int, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
-        s = np.where(np.arange(n) % 2 == 0, 1, -1).astype(np.int8)
-        return cls(s, boundary)
+        return cls([(-1) ** i for i in range(n)], boundary)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
@@ -71,32 +63,23 @@ class SpinTape:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dynamics parameters: a bias gamma in [-1, 1], optionally tied to a
-    physical (coupling, temperature, boltzmann) triple via
-    gamma = tanh(2 * coupling / (boltzmann * temperature)).  The chain has no
-    external field, in its dynamics and in its energies alike.
+    """Dynamics parameters: a bias gamma in [-1, 1], optionally tied to the
+    dimensionless coupling beta_j = J/(kT) via Glauber's gamma = tanh(2 beta_j).
+    The chain has no external field, in its dynamics and in its energies alike.
     """
 
     gamma: float
     boundary: Boundary = Boundary.PERIODIC
-    coupling: float | None = None
-    temperature: float | None = None
-    boltzmann: float | None = None
+    beta_j: float | None = None
 
     def __post_init__(self):
         if not abs(self.gamma) <= 1.0:
             raise ValueError(f"|gamma| must be <= 1, got {self.gamma}")
-        triple = (self.coupling, self.temperature, self.boltzmann)
-        n_set = sum(v is not None for v in triple)
-        if n_set not in (0, 3):
-            raise ValueError("coupling, temperature, boltzmann must be set together")
-        if n_set == 3:
-            if self.temperature <= 0 or self.boltzmann <= 0:
-                raise ValueError("temperature and boltzmann must be positive")
-            expected = math.tanh(2.0 * self.coupling / (self.boltzmann * self.temperature))
-            if abs(self.gamma - expected) > 1e-14:
+        if self.beta_j is not None:
+            expected = math.tanh(2.0 * self.beta_j)
+            if not abs(self.gamma - expected) <= 1e-14:
                 raise ValueError(
-                    f"gamma={self.gamma} inconsistent with tanh(2J/kT)={expected}"
+                    f"gamma={self.gamma} inconsistent with tanh(2 beta_j)={expected}"
                 )
 
     @classmethod
@@ -106,28 +89,18 @@ class ModelParams:
     @classmethod
     def from_physical(cls, coupling: float, temperature: float, boltzmann: float = 1.0,
                       boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
-        if temperature <= 0.0:
+        # written so that NaN fails too
+        if not temperature > 0.0:
             raise ValueError("temperature must be positive")
-        if boltzmann <= 0.0:
+        if not boltzmann > 0.0:
             raise ValueError("boltzmann must be positive")
-        gamma = math.tanh(2.0 * coupling / (boltzmann * temperature))
-        return cls(gamma=gamma, boundary=boundary, coupling=float(coupling),
-                   temperature=float(temperature), boltzmann=float(boltzmann))
-
-    @property
-    def has_temperature(self) -> bool:
-        return self.temperature is not None
-
-    @property
-    def beta(self) -> float:
-        if not self.has_temperature:
-            raise ValueError("no temperature set, beta unavailable")
-        return 1.0 / (self.boltzmann * self.temperature)
+        beta_j = coupling / (boltzmann * temperature)
+        return cls(gamma=math.tanh(2.0 * beta_j), boundary=boundary, beta_j=beta_j)
 
 
 def encode_state(tape: SpinTape) -> int:
     """Pack a tape into its configuration index (site 0 = least-significant bit)."""
-    return int.from_bytes(np.packbits(tape.symbols > 0, bitorder="little").tobytes(), "little")
+    return sum(1 << i for i, x in enumerate(tape.symbols) if x > 0)
 
 
 def decode_state(index: int, n: int, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:

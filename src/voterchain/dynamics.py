@@ -84,7 +84,7 @@ class Trajectory:
     t_end: float
 
     def final_tape(self) -> SpinTape:
-        s = self.initial.symbols.tolist()
+        s = list(self.initial.symbols)
         for _, site in self.events:
             s[site] = -s[site]
         return SpinTape(s, self.initial.boundary)
@@ -147,7 +147,7 @@ def _live_rates(tape: SpinTape, params: ModelParams
     tape whose boundary is not that of `params` is rejected."""
     if tape.boundary is not params.boundary:
         raise ValueError("tape and params boundary conditions disagree")
-    symbols = tape.symbols.tolist()
+    symbols = list(tape.symbols)
     codes = _neighbourhood_codes(symbols)
     table = _rate_lookup(len(symbols), params)
     return symbols, [row[c] for row, c in zip(table, codes)], codes, table
@@ -356,14 +356,16 @@ def flux_residual(w: np.ndarray, energies: np.ndarray, beta: float) -> float:
 
 def detailed_balance_residual(n: int, params: ModelParams) -> float:
     """Worst single-flip flux imbalance against the Gibbs weights of the
-    chain's own Hamiltonian.  Requires the physical triple, which fixes beta.
+    chain's own Hamiltonian.  Requires `params.beta_j` = J/(kT): the weights
+    e^{-E/kT} are those of the energies at coupling beta_j and beta = 1.
     """
-    beta = params.beta
+    if params.beta_j is None:
+        raise ValueError("no beta_j set, detailed balance needs J/(kT)")
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
     w = rates(spin_table(n), params)
-    energies = state_energies(n, params.coupling, params.boundary)
-    return flux_residual(w, energies, beta)
+    energies = state_energies(n, params.beta_j, params.boundary)
+    return flux_residual(w, energies, 1.0)
 
 
 def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,

@@ -45,9 +45,10 @@ def _log_cosh(x: float) -> float:
 def _check_point(n: int, temperature: float, boltzmann: float) -> None:
     if n < 1:
         raise ValueError(f"need at least one cell, got n={n}")
-    if temperature <= 0:
+    # written so that NaN fails too
+    if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if boltzmann <= 0:
+    if not boltzmann > 0:
         raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
 
 
@@ -84,6 +85,8 @@ def landauer_floor(n: int, boltzmann: float = 1.0) -> float:
     """Information floor n k ln2 for n two-symbol cells."""
     if n < 0:
         raise ValueError("cell count must be nonnegative")
+    if not boltzmann > 0:
+        raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
     return n * boltzmann * LN2
 
 
@@ -104,7 +107,7 @@ def erasure_energy(n_bits: float, temperature: float, boltzmann: float = 1.0) ->
     """Minimum energy n k T ln2 to erase n_bits two-symbol cells at temperature T."""
     if n_bits < 0:
         raise ValueError("bit count must be nonnegative")
-    if temperature <= 0 or boltzmann <= 0:
+    if not (temperature > 0 and boltzmann > 0):
         raise ValueError("temperature and boltzmann constant must be positive")
     return n_bits * boltzmann * temperature * LN2
 

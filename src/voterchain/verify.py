@@ -156,7 +156,7 @@ def check_detailed_balance_injected() -> CheckResult:
     """Negative control: a deliberately mismatched gamma must break the
     flux balance, proving the check can fail."""
     bj = 0.7
-    gamma_wrong = math.tanh(2.0 * bj) + 0.05
+    gamma_wrong = ModelParams.from_physical(bj, 1.0).gamma + 0.05
     w = rates(spin_table(6), ModelParams.from_gamma(gamma_wrong))
     energies = state_energies(6, bj, Boundary.PERIODIC)
     residual = flux_residual(w, energies, 1.0)

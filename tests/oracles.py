@@ -25,7 +25,7 @@ def hamiltonian(tape: SpinTape, coupling: float) -> float:
     Open boundary sums the N-1 interior bonds; periodic adds the wrap-around
     bond (for N = 1 that bond is the cell with itself, a constant -J).
     """
-    s = tape.symbols.astype(np.float64)
+    s = np.asarray(tape.symbols, dtype=np.float64)
     bonds = float(np.dot(s[:-1], s[1:]))
     if tape.boundary is Boundary.PERIODIC:
         bonds += float(s[-1] * s[0])

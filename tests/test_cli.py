@@ -70,6 +70,24 @@ def test_model_flags_are_exclusive(capsys):
     assert "error: --trajectories must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--trajectories", "0"]])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_cell(tmp_path, capsys, n, extra):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--n", n, "--gamma", "0", "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == "error: --n must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["thermo", "simulate", "exact"])
+def test_nan_temperature_rejected(tmp_path, capsys, command):
+    out = tmp_path / "x.csv"
+    assert main([command, "--n", "3", "--coupling", "1", "--temperature", "nan",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: temperature must be positive")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_rejects_negative_end_time(capsys):
     assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", "-1"]) == 2
     assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"

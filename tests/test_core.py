@@ -16,24 +16,39 @@ from voterchain.core import (
     spin_table,
     state_energies,
 )
+from voterchain.dynamics import detailed_balance_residual
 
 TANH1 = 0.7615941559557649
 TANH2 = 0.9640275800758169
 
 
+# one +-1 tape in every form the constructor accepts
+TAPE_FORMS = ([1, -1, 1, -1], (1, -1, 1, -1), np.array([1, -1, 1, -1], dtype=np.int8),
+              np.array([1, -1, 1, -1], dtype=np.int64), np.array([1.0, -1.0, 1.0, -1.0]))
+
+
 def test_tape_validation():
-    with pytest.raises(ValueError):
-        SpinTape([])
+    for empty in ([], (), np.array([], dtype=np.int8)):
+        with pytest.raises(ValueError, match="at least one cell"):
+            SpinTape(empty)
+    # nested or 2-D input is not a tape
+    for nested in ([[1, -1]], np.array([[1, -1], [-1, 1]]), [(1,), (-1,)]):
+        with pytest.raises(ValueError, match="at least one cell"):
+            SpinTape(nested)
     with pytest.raises(ValueError):
         SpinTape([1, 0, -1])
     with pytest.raises(ValueError):
         SpinTape([1, 2])
-    # each symbol must be exactly +-1 before the int8 cast, which would
-    # truncate 1.5 and -1.9 to +-1 and wrap 255 and 257 to -1 and 1
+    # each symbol must be exactly +-1 before the conversion to int, which
+    # would truncate 1.5 and -1.9 to +-1; an int8 cast would wrap 255 and 257
     for symbols in ([1.5, -1], np.array([255, 1]), np.array([257, -1]),
-                    np.array([1.0, -1.9])):
+                    np.array([1.0, -1.9]), (1, -1.9), np.array([1, 0], dtype=np.int8)):
         with pytest.raises(ValueError, match="-1 or \\+1"):
             SpinTape(symbols)
+    for form in TAPE_FORMS:
+        tape = SpinTape(form)
+        assert tape.symbols == (1, -1, 1, -1)
+        assert all(type(s) is int for s in tape.symbols)
     tape = SpinTape([1, -1, 1], Boundary.OPEN)
     assert tape.n == 3
     assert tape.boundary is Boundary.OPEN
@@ -41,7 +56,7 @@ def test_tape_validation():
 
 def test_tape_symbols_are_read_only():
     tape = SpinTape([1, -1])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         tape.symbols[0] = -1
 
 
@@ -53,16 +68,22 @@ def test_tape_equality_and_hash_by_value():
     assert tape != SpinTape([1, -1, 1, 1])
     assert tape != SpinTape.alternating(4, Boundary.OPEN)
     assert tape != SpinTape.alternating(5)
-    assert tape != tape.symbols.tolist()
+    assert tape != list(tape.symbols) and tape != tape.symbols
+    # every accepted form gives the same tape, hash and Python int symbols
+    tapes = [SpinTape(form) for form in TAPE_FORMS]
+    assert all(t == tape and hash(t) == hash(tape) for t in tapes)
+    assert len(set(tapes)) == 1
+    assert all(type(s) is int for t in tapes for s in t.symbols)
 
 
 def test_tape_constructors():
-    assert np.all(SpinTape.uniform(4).symbols == 1)
-    assert SpinTape.uniform(4, -1).symbols.tolist() == [-1, -1, -1, -1]
-    assert SpinTape.alternating(5).symbols.tolist() == [1, -1, 1, -1, 1]
+    assert SpinTape.uniform(4).symbols == (1, 1, 1, 1)
+    assert SpinTape.uniform(4, -1).symbols == (-1, -1, -1, -1)
+    assert SpinTape.alternating(5).symbols == (1, -1, 1, -1, 1)
     rng = np.random.default_rng(0)
     tape = SpinTape.random(6, rng, Boundary.OPEN)
-    assert set(tape.symbols.tolist()) <= {-1, 1}
+    assert set(tape.symbols) <= {-1, 1}
+    assert all(type(s) is int for s in tape.symbols)
 
 
 def test_encode_examples():
@@ -73,9 +94,9 @@ def test_encode_examples():
 
 
 def test_decode_examples():
-    assert decode_state(0, 2).symbols.tolist() == [-1, -1]
-    assert decode_state(3, 2).symbols.tolist() == [1, 1]
-    assert decode_state(4, 3).symbols.tolist() == [-1, -1, 1]
+    assert decode_state(0, 2).symbols == (-1, -1)
+    assert decode_state(3, 2).symbols == (1, 1)
+    assert decode_state(4, 3).symbols == (-1, -1, 1)
     with pytest.raises(ValueError):
         decode_state(8, 3)
     with pytest.raises(ValueError):
@@ -92,7 +113,7 @@ def test_encode_decode_roundtrip(case, boundary):
     tape = decode_state(idx, n, boundary)
     assert tape.n == n and tape.boundary is boundary
     assert encode_state(tape) == idx
-    reference = sum(((s + 1) // 2) << i for i, s in enumerate(tape.symbols.tolist()))
+    reference = sum(((s + 1) // 2) << i for i, s in enumerate(tape.symbols))
     assert encode_state(tape) == reference
 
 
@@ -100,7 +121,7 @@ def test_spin_table_matches_decode():
     table = spin_table(4)
     assert table.shape == (16, 4)
     for idx in range(16):
-        assert table[idx].tolist() == decode_state(idx, 4).symbols.tolist()
+        assert tuple(table[idx].tolist()) == decode_state(idx, 4).symbols
 
 
 def test_hamiltonian_open_chain():
@@ -149,22 +170,16 @@ def test_params_gamma_range():
 def test_params_from_physical():
     p = ModelParams.from_physical(1.0, 2.0)
     assert p.gamma == pytest.approx(TANH1, abs=1e-15)
-    assert p.beta == pytest.approx(0.5)
-    assert p.has_temperature
+    assert p.beta_j == 0.5
     q = ModelParams.from_physical(1.0, 1.0)
     assert q.gamma == pytest.approx(TANH2, abs=1e-15)
 
 
-def test_params_triple_is_all_or_none():
-    with pytest.raises(ValueError):
-        ModelParams(gamma=0.5, coupling=1.0)
-    with pytest.raises(ValueError):
-        ModelParams(gamma=0.5, temperature=1.0, boltzmann=1.0)
-
-
 def test_params_gamma_must_match_triple():
-    with pytest.raises(ValueError):
-        ModelParams(gamma=0.5, coupling=1.0, temperature=1.0, boltzmann=1.0)
+    assert ModelParams(gamma=TANH2, beta_j=1.0).beta_j == 1.0
+    for beta_j in (1.0, math.nan):
+        with pytest.raises(ValueError, match="inconsistent"):
+            ModelParams(gamma=0.5, beta_j=beta_j)
 
 
 def test_params_positivity():
@@ -175,9 +190,10 @@ def test_params_positivity():
 
 
 def test_params_beta_needs_triple():
-    with pytest.raises(ValueError):
-        _ = ModelParams.from_gamma(0.5).beta
-    assert not ModelParams.from_gamma(0.5).has_temperature
+    params = ModelParams.from_gamma(0.5)
+    assert params.beta_j is None
+    with pytest.raises(ValueError, match="beta_j"):
+        detailed_balance_residual(3, params)
 
 
 def test_gamma_saturates_at_strong_coupling():

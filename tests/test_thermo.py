@@ -106,6 +106,30 @@ def test_erasure_energy():
     assert erasure_energy(7, 3.0, 2.0) == pytest.approx(3.0 * landauer_floor(7, 2.0), rel=1e-15)
 
 
+# every public function that takes T or k, with that argument passed through
+_POINT_CALLS = {
+    "free_energy": lambda t, k: free_energy(3, 1.0, t, k),
+    "entropy": lambda t, k: entropy(3, 1.0, t, k),
+    "gibbs_entropy": lambda t, k: gibbs_entropy(3, 1.0, t, k),
+    "landauer_gap": lambda t, k: landauer_gap(3, 1.0, t, k),
+    "gibbs_brute_force": lambda t, k: gibbs_brute_force(3, 1.0, t, k),
+    "erasure_energy": lambda t, k: erasure_energy(3, t, k),
+    "landauer_floor": lambda t, k: landauer_floor(3, k),
+    "from_physical": lambda t, k: ModelParams.from_physical(1.0, t, k),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("name, arg", [
+    (name, arg) for name in _POINT_CALLS for arg in ("temperature", "boltzmann")
+    if (name, arg) != ("landauer_floor", "temperature")])
+def test_temperature_and_boltzmann_must_be_positive(name, arg, bad):
+    # NaN fails every `<= 0` test, so it must be caught by `not x > 0`
+    t, k = (bad, 1.0) if arg == "temperature" else (1.0, bad)
+    with pytest.raises(ValueError, match="must be positive"):
+        _POINT_CALLS[name](t, k)
+
+
 def test_partition_functions():
     assert log_partition_open(2, 1.0) == pytest.approx(math.log(Z_OPEN_2_X1), rel=1e-14)
     assert log_partition_periodic(4, 1.0) == pytest.approx(math.log(Z_PER_4_X1), rel=1e-14)
