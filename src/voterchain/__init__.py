@@ -1,13 +1,13 @@
 """Voter-style tape machine on a spin chain.
 
 One flip rule drives everything: a cell copies the bias of its neighbors at
-rate 1/2 [1 - (gamma/2) x_i (x_{i-1} + x_{i+1})], written once in
-`dynamics.rates`.  The package provides the discrete seeded machine
-(`voter`), the exact continuous-time evolution and trajectory sampling over
-all 2^N configurations (`dynamics`), closed-form and enumerated chain
-thermodynamics with the bit-erasure floor (`thermo`), and a suite of named
-cross-checks between the routes (`verify`), all behind a CSV command-line
-harness (`cli`).
+rate 1/2 [1 - (gamma/2) x_i (x_{i-1} + x_{i+1})], written once as the
+per-site rate table that `dynamics.rates` reads.  The package provides the
+discrete seeded machine (`voter`), the exact continuous-time evolution and
+trajectory sampling over all 2^N configurations (`dynamics`), closed-form
+and enumerated chain thermodynamics with the bit-erasure floor (`thermo`),
+and a suite of named cross-checks between the routes (`verify`), all behind
+a CSV command-line harness (`cli`).
 """
 
 __version__ = "0.1.0"

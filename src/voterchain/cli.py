@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__
 from .core import Boundary, ModelParams, SpinTape, decode_state, encode_state, magnetization_vector
-from .dynamics import _stepped, build_generator, point_mass, uniform_distribution
+from .dynamics import (_check_exact_size, _stepped, build_generator, point_mass,
+                       uniform_distribution)
 from .thermo import thermo_report
 from .verify import run_verify
 from .voter import Outcome, TuringVoter
@@ -96,7 +97,10 @@ def _initial_tape(spec: str, n: int, boundary: Boundary,
             raise ValueError("a random initial tape needs a sampling stream")
         return SpinTape.random(n, rng, boundary)
     if spec.startswith("index:"):
-        return decode_state(int(spec.split(":", 1)[1]), n, boundary)
+        try:
+            return decode_state(int(spec.split(":", 1)[1]), n, boundary)
+        except ValueError as exc:
+            raise ValueError(f"--init {spec!r}: {exc}") from exc
     raise ValueError(f"unknown --init {spec!r}")
 
 
@@ -194,11 +198,13 @@ def cmd_exact(args: argparse.Namespace) -> int:
         raise ValueError("--t-steps must be at least 1")
     params = _resolve_params(args)
     n = args.n
-    gen = build_generator(n, params)
+    # the size and the start are checked before anything of size 2^n is built
+    _check_exact_size(n)
     if args.init == "uniform":
         p0 = uniform_distribution(n)
     else:
         p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary, None)), n)
+    gen = build_generator(n, params)
     times = np.linspace(0.0, args.t_end, args.t_steps + 1)
     m = magnetization_vector(n)
     d = args.digits

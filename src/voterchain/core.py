@@ -89,13 +89,22 @@ class ModelParams:
     @classmethod
     def from_physical(cls, coupling: float, temperature: float, boltzmann: float = 1.0,
                       boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
-        # written so that NaN fails too
-        if not temperature > 0.0:
-            raise ValueError("temperature must be positive")
-        if not boltzmann > 0.0:
-            raise ValueError("boltzmann must be positive")
-        beta_j = coupling / (boltzmann * temperature)
+        beta_j = _beta_j(coupling, temperature, boltzmann)
         return cls(gamma=math.tanh(2.0 * beta_j), boundary=boundary, beta_j=beta_j)
+
+
+def _beta_j(coupling: float, temperature: float, boltzmann: float) -> float:
+    """x = J/(kT), rejecting by name a NaN coupling, a T or k that is not
+    positive (NaN included) and a product kT that underflows to 0."""
+    if math.isnan(coupling):
+        raise ValueError(f"coupling must be a number, got {coupling}")
+    if not temperature > 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not boltzmann > 0:
+        raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
+    if boltzmann * temperature == 0:
+        raise ValueError(f"boltzmann * temperature underflows to 0 at {boltzmann} * {temperature}")
+    return coupling / (boltzmann * temperature)
 
 
 def encode_state(tape: SpinTape) -> int:

@@ -11,12 +11,12 @@ which balances the single bond.  The tanh factor is computed from gamma alone
 as gamma / (1 + sqrt(1 - gamma^2)), so it needs no physical triple and equals
 1 at gamma = 1 (uniform tapes stay absorbing on open chains).  A single
 periodic cell is its own left and right neighbor, giving w = (1 - gamma)/2;
-a single open cell has no neighbors and rate 1/2.  `rates` is the one place
-this rule is written; the generator, the detailed-balance residual and both
-samplers read their rates from it.  The samplers keep each site's rate and
-refresh only the flipped site and its two neighbours, by a per-site lookup on
-the (left, self, right) symbols that is read off `rates` once per chain size
-and parameters.
+a single open cell has no neighbors and rate 1/2.  The rule is written once,
+in `_rate_lookup`, as a table of each site's rate by its neighbourhood code
+4 l + 2 c + r (bit 1 for a +1 symbol, read cyclically).  `rates` gathers
+from that table for the generator and the detailed-balance residual; both
+samplers keep each site's rate and, after a flip, look up again only the
+flipped site and its two neighbours.
 
 The probability vector over the 2^N configurations obeys dP/dt = G P with
 the generator G holding the rate from sigma to sigma' at entry
@@ -38,7 +38,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 from scipy import sparse
@@ -91,25 +91,14 @@ class Trajectory:
 
 
 def rates(spins, params: ModelParams) -> np.ndarray:
-    """Flip rate w_i of every site, over the last axis of a +-1 array.
-
-    One tape gives its n rates, spin_table(n) gives the (2^n, n) table, and
-    any stack of tapes gives one row of rates per tape.  This is the only
-    place the flip rule and its open-chain endpoint rule are written.
-    """
-    s = np.asarray(spins, dtype=np.float64)
-    coef = np.full(s.shape[-1], 0.5 * params.gamma)
-    if params.boundary is Boundary.PERIODIC:
-        ends = s[..., -1:], s[..., :1]
-    else:
-        # a missing neighbour counts 0; an end's single bond is weighted by
-        # tanh(J/kT), written through gamma = tanh(2J/kT) by the half-angle
-        # identity so it needs no physical triple and reaches 1 at gamma = 1
-        ends = (np.zeros_like(s[..., :1]),) * 2
-        g = params.gamma
-        coef[0] = coef[-1] = g / (1.0 + math.sqrt(1.0 - g * g))
-    padded = np.concatenate([ends[0], s, ends[1]], axis=-1)
-    return 0.5 * (1.0 - coef * s * (padded[..., :-2] + padded[..., 2:]))
+    """Flip rate w_i of every site, over the last axis of a +-1 array: one
+    tape gives its n rates, spin_table(n) the (2^n, n) table, and any stack
+    one row per tape, each rate looked up by the site's neighbourhood code."""
+    b = np.asarray(spins) > 0
+    codes = 4 * np.roll(b, 1, axis=-1) + 2 * b + np.roll(b, -1, axis=-1)
+    n = b.shape[-1]
+    table = np.array(_rate_lookup(n, params.gamma, params.boundary is Boundary.OPEN))
+    return table[np.arange(n), codes]
 
 
 def _neighbourhood_codes(symbols: list[int]) -> list[int]:
@@ -120,23 +109,24 @@ def _neighbourhood_codes(symbols: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _rate_lookup(n: int, params: ModelParams) -> tuple[tuple[float, ...], ...]:
-    """Per-site rate by neighbourhood code, read off `rates` on probe tapes.
+def _rate_lookup(n: int, gamma: float, is_open: bool) -> tuple[tuple[float, ...], ...]:
+    """The flip rule: each site's rate 1/2 [1 - coef c (l + r)] by its code,
+    coef = gamma/2.  An open chain's end counts its missing neighbour 0 and
+    weighs its one bond by tanh(J/kT), written through gamma = tanh(2J/kT)
+    as gamma / (1 + sqrt(1 - gamma^2)) so it reaches 1 at gamma = 1.  Sites
+    with equal rules share one row."""
+    def row(coef: float, left: bool, right: bool) -> tuple[float, ...]:
+        # product runs over the (l, c, r) symbols in code order 4 l + 2 c + r
+        return tuple(0.5 * (1.0 - coef * c * (l * left + r * right))
+                     for l, c, r in product((-1, 1), repeat=3))
 
-    Cell j of probe k holds bit (j mod 3) of k, so over k = 0..7 every site
-    off the wrap-around sees all eight neighbourhoods; eight more probes
-    rolled by n // 2 move the two wrap-around sites inside.  Sites with equal
-    rows share one tuple (the rate classes), so a table costs one reference
-    per site.  Codes a chain of one or two cells cannot show stay 0.
-    """
-    bits = (np.arange(8)[:, None] >> (np.arange(n) % 3)) & 1
-    probes = 2 * np.concatenate([bits, np.roll(bits, n // 2, axis=1)]) - 1
-    table = np.zeros((n, 8))
-    codes = [_neighbourhood_codes(row) for row in probes.tolist()]
-    table[np.arange(n), codes] = rates(probes, params)
-    classes, row_of = np.unique(table, axis=0, return_inverse=True)
-    rows = [tuple(row) for row in classes.tolist()]
-    return tuple(rows[k] for k in row_of.ravel().tolist())
+    inner = row(0.5 * gamma, True, True)
+    if not is_open:
+        return (inner,) * n
+    end = gamma / (1.0 + math.sqrt(1.0 - gamma * gamma))
+    if n == 1:
+        return (row(end, False, False),)
+    return (row(end, False, True),) + (inner,) * (n - 2) + (row(end, True, False),)
 
 
 def _live_rates(tape: SpinTape, params: ModelParams
@@ -149,7 +139,7 @@ def _live_rates(tape: SpinTape, params: ModelParams
         raise ValueError("tape and params boundary conditions disagree")
     symbols = list(tape.symbols)
     codes = _neighbourhood_codes(symbols)
-    table = _rate_lookup(len(symbols), params)
+    table = _rate_lookup(len(symbols), params.gamma, params.boundary is Boundary.OPEN)
     return symbols, [row[c] for row, c in zip(table, codes)], codes, table
 
 
@@ -166,12 +156,17 @@ def _refresh(site: int, codes: list[int], w: list[float],
         w[i] = table[i][codes[i]]
 
 
-def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
-    """Assemble the 2^n x 2^n transition-rate operator from single-site rates."""
+def _check_exact_size(n: int) -> None:
+    """Reject a chain the exact operations over all 2^n states cannot take."""
     if n < 1:
         raise ValueError(f"a generator needs at least one cell, got n={n}")
     if n > EXACT_SITE_CAP:
         raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
+
+
+def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
+    """Assemble the 2^n x 2^n transition-rate operator from single-site rates."""
+    _check_exact_size(n)
     w = rates(spin_table(n), params)
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
@@ -361,8 +356,7 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
     """
     if params.beta_j is None:
         raise ValueError("no beta_j set, detailed balance needs J/(kT)")
-    if n > EXACT_SITE_CAP:
-        raise ValueError(f"exact operations capped at n={EXACT_SITE_CAP}, got {n}")
+    _check_exact_size(n)
     w = rates(spin_table(n), params)
     energies = state_energies(n, params.beta_j, params.boundary)
     return flux_residual(w, energies, 1.0)

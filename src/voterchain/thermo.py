@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boundary, state_energies
+from .core import Boundary, _beta_j, state_energies
 
 LN2 = math.log(2.0)
 
@@ -42,20 +42,16 @@ def _log_cosh(x: float) -> float:
     return ax + math.log1p(math.exp(-2.0 * ax)) - LN2
 
 
-def _check_point(n: int, temperature: float, boltzmann: float) -> None:
+def _x(n: int, coupling: float, temperature: float, boltzmann: float) -> float:
+    """x = J/(kT) at a point of the closed forms, which need one cell at least."""
     if n < 1:
         raise ValueError(f"need at least one cell, got n={n}")
-    # written so that NaN fails too
-    if not temperature > 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    if not boltzmann > 0:
-        raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
+    return _beta_j(coupling, temperature, boltzmann)
 
 
 def free_energy(n: int, coupling: float, temperature: float, boltzmann: float = 1.0) -> float:
     """Open-chain equilibrium free energy -kT [N ln2 + (N-1) ln cosh(J/kT)]."""
-    _check_point(n, temperature, boltzmann)
-    x = coupling / (boltzmann * temperature)
+    x = _x(n, coupling, temperature, boltzmann)
     return -boltzmann * temperature * (n * LN2 + (n - 1) * _log_cosh(x))
 
 
@@ -64,7 +60,6 @@ def entropy(n: int, coupling: float, temperature: float, boltzmann: float = 1.0)
 
     Always >= n k ln2 (see module docstring for the sign convention).
     """
-    _check_point(n, temperature, boltzmann)
     return n * boltzmann * LN2 + landauer_gap(n, coupling, temperature, boltzmann)
 
 
@@ -75,8 +70,7 @@ def gibbs_entropy(n: int, coupling: float, temperature: float, boltzmann: float 
     (gibbs_brute_force confirms); differs from entropy() in the sign of
     the exchange term.
     """
-    _check_point(n, temperature, boltzmann)
-    x = coupling / (boltzmann * temperature)
+    x = _x(n, coupling, temperature, boltzmann)
     exchange = (coupling / temperature) * math.tanh(x)
     return n * boltzmann * LN2 + (n - 1) * (boltzmann * _log_cosh(x) - exchange)
 
@@ -97,8 +91,7 @@ def landauer_gap(n: int, coupling: float, temperature: float, boltzmann: float =
     nonnegative terms, so the result is >= 0 in exact and floating-point
     arithmetic alike; zero exactly when n = 1 or J = 0.
     """
-    _check_point(n, temperature, boltzmann)
-    x = coupling / (boltzmann * temperature)
+    x = _x(n, coupling, temperature, boltzmann)
     exchange = (coupling / temperature) * math.tanh(x)
     return (n - 1) * (boltzmann * _log_cosh(x) + exchange)
 
@@ -129,7 +122,7 @@ def _gibbs_weights(n: int, coupling: float, temperature: float, boltzmann: float
                    boundary: Boundary) -> tuple[float, np.ndarray, float, np.ndarray]:
     """beta, the energies of all 2^n configurations, their minimum, and the
     weights e^{-beta (E - E_min)}, so the largest weight is 1."""
-    _check_point(n, temperature, boltzmann)
+    _x(n, coupling, temperature, boltzmann)  # rejects the point before any enumeration
     if n > BRUTE_FORCE_SITE_CAP:
         raise ValueError(f"enumeration capped at n={BRUTE_FORCE_SITE_CAP}, got {n}")
     beta = 1.0 / (boltzmann * temperature)
@@ -188,8 +181,7 @@ def thermo_report(n: int, coupling: float, temperature: float, boltzmann: float 
     """Evaluate the closed forms at one parameter point."""
     f = free_energy(n, coupling, temperature, boltzmann)
     s = entropy(n, coupling, temperature, boltzmann)
-    x = coupling / (boltzmann * temperature)
-    u = (n - 1) * coupling * math.tanh(x)
+    u = (n - 1) * coupling * math.tanh(_x(n, coupling, temperature, boltzmann))
     return ThermoReport(
         free_energy=f,
         internal_energy=u,

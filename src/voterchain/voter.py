@@ -9,7 +9,8 @@ One step advances machine time by 1/N, so a run of about N t steps matches
 the continuous-time evolution of the dynamics module over [0, t].  The
 machine keeps every cell's rate and, after a flip, refreshes the flipped
 cell and its two neighbours, as the Gillespie sampler does.  It also keeps
-the number of domain walls, so the halt check costs one comparison.
+the number of +1 cells, which a flip moves by its new symbol, so the halt
+check is one test: the tape is uniform when that count is 0 or N.
 
 Random stream: the cells and uniforms of the attempts are drawn ahead, in
 refills of min(16 * 2^k, 1024) attempts for refill k = 0, 1, 2, ...  Each
@@ -32,9 +33,6 @@ from .dynamics import _live_rates, _refresh
 
 _FIRST_REFILL = 16
 _MAX_REFILL = 1024
-
-# domain walls on the two bonds of a site, by its neighbourhood code 4 l + 2 c + r
-_WALLS = (0, 1, 2, 1, 1, 2, 1, 0)
 
 
 class StepEvent(NamedTuple):
@@ -64,7 +62,8 @@ class Outcome:
 
 class TuringVoter:
     """Seeded machine state: tape, parameters, step counter, and the rates and
-    domain-wall count it samples with; the tape is halted when it has no walls.
+    count of +1 cells it samples with; the tape is halted when that count is
+    0 or N.
 
     Attempts consume the random stream in the refills the module docstring
     describes, drawn whether or not a flip succeeds.  A generator passed in
@@ -76,10 +75,8 @@ class TuringVoter:
                  seed: int | np.random.SeedSequence | np.random.Generator) -> None:
         self.params = params
         self._s, self._w, self._codes, self._table = _live_rates(tape, params)
-        # cyclic bonds whose symbols differ, each seen from both its sites:
-        # zero exactly on a uniform tape, on an open chain too, where the
-        # codes read the wrap bond as the only one added
-        self._walls = sum(map(_WALLS.__getitem__, self._codes)) // 2
+        self._ups = self._s.count(1)
+        self._n = len(self._s)
         self._rng = np.random.default_rng(seed)
         self._draws = iter(())  # the first block is drawn by the first attempt
         self._refill_size = _FIRST_REFILL
@@ -90,13 +87,14 @@ class TuringVoter:
         return SpinTape(self._s, self.params.boundary)
 
     def is_consensus(self) -> bool:
-        return self._walls == 0
+        # a count in [0, N] is a multiple of N only at 0 and N
+        return self._ups % self._n == 0
 
     def _refill(self) -> tuple[int, float]:
         """Draw the next block of cells and uniforms; return its first pair."""
         b = self._refill_size
         self._refill_size = min(2 * b, _MAX_REFILL)
-        cells = self._rng.integers(len(self._s), size=b).tolist()
+        cells = self._rng.integers(self._n, size=b).tolist()
         self._draws = zip(cells, self._rng.random(b).tolist())
         return next(self._draws)
 
@@ -109,12 +107,10 @@ class TuringVoter:
         self.step_count += 1
         s = self._s
         if u < self._w[site]:
-            codes = self._codes
-            before = codes[site]
-            _refresh(site, codes, self._w, self._table)
-            self._walls += _WALLS[codes[site]] - _WALLS[before]
-            s[site] = -s[site]
-            return StepEvent(site, True, s[site])
+            _refresh(site, self._codes, self._w, self._table)
+            s[site] = symbol = -s[site]
+            self._ups += symbol
+            return StepEvent(site, True, symbol)
         return StepEvent(site, False, s[site])
 
     def run_until_halt(self, max_steps: int) -> Outcome:

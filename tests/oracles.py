@@ -1,6 +1,7 @@
 """Reference implementations that the tests compare the package against.
 
-Each one computes a quantity by a route the package does not take: the energy
+Each one computes a quantity by a route the package does not take: the flip
+rates of many tapes by the float formula on padded neighbours, the energy
 of one tape by its bonds, the neighbourhood codes of many tapes at once, the
 one-step kernel of the discrete machine, the action of exp(G t) by a
 truncated Taylor series, and the transfer-matrix partition functions in log
@@ -13,10 +14,30 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from voterchain.core import Boundary, SpinTape
+from voterchain.core import Boundary, ModelParams, SpinTape
 from voterchain.dynamics import GeneratorMatrix
 
 LN2 = math.log(2.0)
+
+
+def flip_rates(spins, params: ModelParams) -> np.ndarray:
+    """Flip rate w_i = 1/2 [1 - coef_i s_i (s_{i-1} + s_{i+1})] of every
+    site, over the last axis of a +-1 array, with coef_i = gamma/2.
+
+    On an open chain a missing neighbour counts 0 and each end weighs its
+    one bond by tanh(J/kT) = gamma / (1 + sqrt(1 - gamma^2)); a ring pads
+    each end with the symbol at the other.
+    """
+    s = np.asarray(spins, dtype=np.float64)
+    coef = np.full(s.shape[-1], 0.5 * params.gamma)
+    if params.boundary is Boundary.PERIODIC:
+        ends = s[..., -1:], s[..., :1]
+    else:
+        ends = (np.zeros_like(s[..., :1]),) * 2
+        g = params.gamma
+        coef[0] = coef[-1] = g / (1.0 + math.sqrt(1.0 - g * g))
+    padded = np.concatenate([ends[0], s, ends[1]], axis=-1)
+    return 0.5 * (1.0 - coef * s * (padded[..., :-2] + padded[..., 2:]))
 
 
 def hamiltonian(tape: SpinTape, coupling: float) -> float:

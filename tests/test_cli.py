@@ -88,6 +88,50 @@ def test_nan_temperature_rejected(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["thermo", "simulate", "exact"])
+@pytest.mark.parametrize("flags, message", [
+    (["--coupling", "1", "--temperature", "1e-200", "--boltzmann", "1e-200"],
+     "error: boltzmann * temperature underflows to 0"),
+    (["--coupling", "nan", "--temperature", "1"], "error: coupling must be a number"),
+])
+def test_physical_triple_rejected_by_name(tmp_path, capsys, command, flags, message):
+    # a k T that underflows to 0 once ended in a ZeroDivisionError traceback,
+    # and a NaN coupling was reported as a bad gamma
+    out = tmp_path / "x.csv"
+    assert main([command, "--n", "3", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _never(*args):
+    raise AssertionError("called before the command's own checks ran")
+
+
+@pytest.mark.parametrize("init, message", [
+    ("sideways", "error: unknown --init 'sideways'"),
+    ("index:8", "error: --init 'index:8': index 8 out of range for 3 cells"),
+    ("index:-1", "error: --init 'index:-1': index -1 out of range for 3 cells"),
+    ("index:two", "error: --init 'index:two'"),
+])
+def test_exact_rejects_bad_start_before_building(tmp_path, capsys, monkeypatch, init, message):
+    monkeypatch.setattr(cli, "build_generator", _never)
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "3", "--gamma", "0.5", "--init", init, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("init", ["uniform", "index:3", "sideways"])
+def test_exact_caps_the_size_before_reading_the_start(tmp_path, capsys, monkeypatch, init):
+    # each of these builds something of size n or 2^n
+    for name in ("build_generator", "decode_state", "uniform_distribution", "point_mass"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "40", "--gamma", "0.5", "--init", init, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: exact operations capped at n=14, got 40\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_rejects_negative_end_time(capsys):
     assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", "-1"]) == 2
     assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"

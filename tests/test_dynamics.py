@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expm_action, neighbourhoods, uniformized_kernel
+from oracles import expm_action, flip_rates, neighbourhoods, uniformized_kernel
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -76,13 +76,22 @@ def test_rates_open_endpoints_use_single_bond_factor():
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
        boundary=st.sampled_from(list(Boundary)))
+@example(n=1, gamma=1.0, boundary=Boundary.PERIODIC)
+@example(n=1, gamma=-1.0, boundary=Boundary.OPEN)
+@example(n=2, gamma=-1.0, boundary=Boundary.PERIODIC)
+@example(n=2, gamma=1.0, boundary=Boundary.OPEN)
+@example(n=1, gamma=-1.0, boundary=Boundary.PERIODIC)
+@example(n=1, gamma=1.0, boundary=Boundary.OPEN)
+@example(n=2, gamma=1.0, boundary=Boundary.PERIODIC)
+@example(n=2, gamma=-1.0, boundary=Boundary.OPEN)
 def test_table_rows_match_tape_rates(n, gamma, boundary):
-    # the batch over all states, each single tape and the samplers' lookup
-    # give the same rates, bit for bit
+    # the batch over all states, each single tape, the samplers' lookup and
+    # the reference float formula give the same rates, bit for bit
     params = ModelParams.from_gamma(gamma, boundary=boundary)
     table = rates(spin_table(n), params)
     assert table.shape == (2**n, n)
-    lookup = _rate_lookup(n, params)
+    assert table.tobytes() == flip_rates(spin_table(n), params).tobytes()
+    lookup = _rate_lookup(n, gamma, boundary is Boundary.OPEN)
     codes = neighbourhoods(spin_table(n))
     for idx in range(2**n):
         tape = decode_state(idx, n, boundary)

@@ -130,6 +130,29 @@ def test_temperature_and_boltzmann_must_be_positive(name, arg, bad):
         _POINT_CALLS[name](t, k)
 
 
+_COUPLING_CALLS = {
+    "free_energy": free_energy,
+    "entropy": entropy,
+    "gibbs_entropy": gibbs_entropy,
+    "landauer_gap": landauer_gap,
+    "gibbs_brute_force": gibbs_brute_force,
+    "thermo_report": thermo_report,
+    "from_physical": lambda n, j, t, k: ModelParams.from_physical(j, t, k),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUPLING_CALLS))
+def test_nan_coupling_and_vanishing_kt_rejected_by_name(name):
+    call = _COUPLING_CALLS[name]
+    with pytest.raises(ValueError, match="coupling must be a number"):
+        call(3, math.nan, 1.0, 1.0)
+    # both positive, but their product underflows to 0
+    with pytest.raises(ValueError, match=r"boltzmann \* temperature underflows to 0"):
+        call(3, 1.0, 1e-200, 1e-200)
+    # a product that stays above 0 is accepted, however small
+    call(3, 1.0, 1e-200, 1e-100)
+
+
 def test_partition_functions():
     assert log_partition_open(2, 1.0) == pytest.approx(math.log(Z_OPEN_2_X1), rel=1e-14)
     assert log_partition_periodic(4, 1.0) == pytest.approx(math.log(Z_PER_4_X1), rel=1e-14)

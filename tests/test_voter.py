@@ -210,7 +210,7 @@ def test_poisson_weighted_kernel_powers_reproduce_exact_evolution():
        boundary=st.sampled_from(list(Boundary)), seed=st.integers(0, 2**32 - 1),
        steps=st.integers(0, 120), data=st.data())
 def test_halt_check_tracks_uniform_tape(n, gamma, boundary, seed, steps, data):
-    # the kept wall count is zero exactly when every symbol is equal
+    # the kept count of +1 cells is 0 or n exactly when every symbol is equal
     symbols = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
     machine = TuringVoter(SpinTape(symbols, boundary),
                           ModelParams.from_gamma(gamma, boundary=boundary), seed)
