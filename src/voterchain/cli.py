@@ -84,8 +84,7 @@ def _resolve_params(args: argparse.Namespace) -> ModelParams:
     return ModelParams.from_physical(args.coupling, args.temperature, k, boundary=boundary)
 
 
-def _initial_tape(spec: str, n: int, boundary: Boundary,
-                  rng: np.random.Generator | None) -> SpinTape:
+def _initial_tape(spec: str, n: int, boundary: Boundary) -> SpinTape:
     if spec == "all-up":
         return SpinTape.uniform(n, +1, boundary)
     if spec == "all-down":
@@ -93,9 +92,7 @@ def _initial_tape(spec: str, n: int, boundary: Boundary,
     if spec == "alternating":
         return SpinTape.alternating(n, boundary)
     if spec == "random":
-        if rng is None:
-            raise ValueError("a random initial tape needs a sampling stream")
-        return SpinTape.random(n, rng, boundary)
+        raise ValueError("a random initial tape needs a sampling stream")
     if spec.startswith("index:"):
         try:
             return decode_state(int(spec.split(":", 1)[1]), n, boundary)
@@ -131,9 +128,9 @@ def cmd_thermo(args: argparse.Namespace) -> int:
 def _run_trajectory(payload) -> tuple[int, Outcome]:
     """One seeded run: the start tape's symbol sum and the outcome, whose
     flip records are kept only for an event log."""
-    init, n, params, max_steps, child, want_events = payload
+    start, n, params, max_steps, child, want_events = payload
     rng = np.random.default_rng(child)
-    tape = _initial_tape(init, n, params.boundary, rng)
+    tape = SpinTape.random(n, rng, params.boundary) if start == "random" else start
     outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps)
     if not want_events:
         # a fresh array, not a slice, so the record's buffer is freed here
@@ -156,9 +153,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--trajectories must be nonnegative")
     if n < 1:
         raise ValueError("--n must be at least 1")
+    # read once, before any stream or worker exists
+    start = "random" if args.init == "random" else _initial_tape(args.init, n, params.boundary)
     want_events = args.events is not None
     children = np.random.SeedSequence(args.seed).spawn(args.trajectories)
-    payloads = [(args.init, n, params, max_steps, child, want_events) for child in children]
+    payloads = [(start, n, params, max_steps, child, want_events) for child in children]
     if args.workers > 1 and payloads:
         chunk = max(1, len(payloads) // (args.workers * 8))
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -203,7 +202,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if args.init == "uniform":
         p0 = uniform_distribution(n)
     else:
-        p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary, None)), n)
+        p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary)), n)
     gen = build_generator(n, params)
     times = np.linspace(0.0, args.t_end, args.t_steps + 1)
     m = magnetization_vector(n)

@@ -14,8 +14,8 @@ periodic cell is its own left and right neighbor, giving w = (1 - gamma)/2;
 a single open cell has no neighbors and rate 1/2.  The rule is written once,
 in `_rate_lookup`, as a table of each site's rate by its neighbourhood code
 4 l + 2 c + r (bit 1 for a +1 symbol, read cyclically).  `rates` gathers
-from that table for the generator and the detailed-balance residual; both
-samplers keep each site's rate and, after a flip, look up again only the
+from that table for `build_generator`, whose operator every exact check reads;
+both samplers keep each site's rate and, after a flip, look up again only the
 flipped site and its two neighbours.
 
 The probability vector over the 2^N configurations obeys dP/dt = G P with
@@ -51,19 +51,18 @@ EXACT_SITE_CAP = 14
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
-    """Transition-rate operator over 2^n_sites configurations.
-
-    Entry (sigma', sigma) of `matrix` is the flip rate from sigma to sigma';
-    off-diagonals connect configurations differing at exactly one site.  Only
-    nonzero rates are stored, so the stored pattern is the flip graph.
-    """
+    """Transition-rate operator: entry (b, a) of `matrix` is the rate from
+    state a to state b, and only nonzero rates are stored.  `build_generator`
+    makes one over the 2^n_sites configurations of n_sites cells; `dim` is
+    read from the matrix, so an operator over fewer states, such as a chain
+    lumped by its symmetries, runs through the same exact operations."""
 
     n_sites: int
     matrix: sparse.csc_array
 
     @property
     def dim(self) -> int:
-        return 2**self.n_sites
+        return self.matrix.shape[0]
 
     @cached_property
     def _uniformized(self) -> tuple[float, sparse.csr_array]:
@@ -327,39 +326,34 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     return basis
 
 
-def flux_residual(w: np.ndarray, energies: np.ndarray, beta: float) -> float:
-    """Worst relative single-flip flux imbalance of a rate table against
-    the weights e^{-beta E}.
+def flux_residual(gen: GeneratorMatrix, energies: np.ndarray) -> float:
+    """Worst relative flux imbalance of a generator against the weights e^{-E}.
 
-    For every configuration sigma and site i, compares
-    w_i(sigma) e^{-beta E(sigma)} with w_i(sigma^i) e^{-beta E(sigma^i)}
-    (sigma^i = sigma with site i flipped), normalized by the larger flux of
-    the pair; energies are shifted per pair so the exponentials stay finite.
+    For every stored off-diagonal rate G[b, a], compares the flux
+    G[b, a] e^{-E_a} with the reverse flux G[a, b] e^{-E_b}, the reverse rate
+    being 0 when it is not stored, normalized by the larger flux of the pair;
+    energies are shifted per pair by min(E_a, E_b) so the exponentials stay
+    finite.  An operator without off-diagonal entries gives 0.
     """
-    n = w.shape[1]
-    idx = np.arange(w.shape[0], dtype=np.int64)
-    worst = 0.0
-    for i in range(n):
-        flipped = idx ^ (1 << i)
-        e_ref = np.minimum(energies, energies[flipped])
-        flux_out = w[:, i] * np.exp(-beta * (energies - e_ref))
-        flux_back = w[flipped, i] * np.exp(-beta * (energies[flipped] - e_ref))
-        scale = np.maximum(np.maximum(flux_out, flux_back), 1e-300)
-        worst = max(worst, float(np.max(np.abs(flux_out - flux_back) / scale)))
-    return worst
+    g = gen.matrix.tocoo()
+    off = g.row != g.col
+    b, a = g.row[off], g.col[off]
+    e_ref = np.minimum(energies[a], energies[b])
+    flux_out = g.data[off] * np.exp(-(energies[a] - e_ref))
+    flux_back = gen.matrix[a, b] * np.exp(-(energies[b] - e_ref))
+    scale = np.maximum(np.maximum(flux_out, flux_back), 1e-300)
+    return float(np.max(np.abs(flux_out - flux_back) / scale, initial=0.0))
 
 
 def detailed_balance_residual(n: int, params: ModelParams) -> float:
-    """Worst single-flip flux imbalance against the Gibbs weights of the
-    chain's own Hamiltonian.  Requires `params.beta_j` = J/(kT): the weights
-    e^{-E/kT} are those of the energies at coupling beta_j and beta = 1.
+    """Worst single-flip flux imbalance of the chain's generator against the
+    Gibbs weights of its own Hamiltonian.  Requires `params.beta_j` = J/(kT):
+    the weights e^{-E/kT} are those of the energies at coupling beta_j.
     """
     if params.beta_j is None:
         raise ValueError("no beta_j set, detailed balance needs J/(kT)")
-    _check_exact_size(n)
-    w = rates(spin_table(n), params)
-    energies = state_energies(n, params.beta_j, params.boundary)
-    return flux_residual(w, energies, 1.0)
+    return flux_residual(build_generator(n, params),
+                         state_energies(n, params.beta_j, params.boundary))
 
 
 def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,

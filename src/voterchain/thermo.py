@@ -50,9 +50,12 @@ def _x(n: int, coupling: float, temperature: float, boltzmann: float) -> float:
 
 
 def free_energy(n: int, coupling: float, temperature: float, boltzmann: float = 1.0) -> float:
-    """Open-chain equilibrium free energy -kT [N ln2 + (N-1) ln cosh(J/kT)]."""
+    """Open-chain equilibrium free energy -kT [N ln2 + (N-1) ln cosh(J/kT)],
+    with kT |x| written as |J|, so F reaches its limit -(N-1)|J| as T -> 0."""
     x = _x(n, coupling, temperature, boltzmann)
-    return -boltzmann * temperature * (n * LN2 + (n - 1) * _log_cosh(x))
+    kt = boltzmann * temperature
+    bond = abs(coupling) + kt * math.log1p(math.exp(-2.0 * abs(x))) - kt * LN2
+    return -(n * kt * LN2 + (n - 1) * bond)
 
 
 def entropy(n: int, coupling: float, temperature: float, boltzmann: float = 1.0) -> float:
@@ -68,11 +71,13 @@ def gibbs_entropy(n: int, coupling: float, temperature: float, boltzmann: float 
 
     Equals the Shannon entropy -k sum p ln p of the Gibbs distribution
     (gibbs_brute_force confirms); differs from entropy() in the sign of
-    the exchange term.
-    """
+    the exchange term.  Each bond's k [ln cosh x - x tanh x] is written as
+    k [ln(1 + u) - ln2 + 2|x| u/(1 + u)], u = e^{-2|x|}, which does not cancel
+    terms of size |x| and is exactly -k ln2 at |x| = inf."""
     x = _x(n, coupling, temperature, boltzmann)
-    exchange = (coupling / temperature) * math.tanh(x)
-    return n * boltzmann * LN2 + (n - 1) * (boltzmann * _log_cosh(x) - exchange)
+    u = math.exp(-2.0 * abs(x))
+    bond = math.log1p(u) - LN2 + (2.0 * abs(x) * u / (1.0 + u) if u else 0.0)
+    return n * boltzmann * LN2 + (n - 1) * boltzmann * bond
 
 
 def landauer_floor(n: int, boltzmann: float = 1.0) -> float:

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
 Each one computes a quantity by a route the package does not take: the flip
-rates of many tapes by the float formula on padded neighbours, the energy
-of one tape by its bonds, the neighbourhood codes of many tapes at once, the
+rates of many tapes by the float formula on padded neighbours, the
+single-flip flux balance of a rate table site by site, the energy of one
+tape by its bonds, the neighbourhood codes of many tapes at once, the
 one-step kernel of the discrete machine, the action of exp(G t) by a
 truncated Taylor series, and the transfer-matrix partition functions in log
 space.
@@ -38,6 +39,27 @@ def flip_rates(spins, params: ModelParams) -> np.ndarray:
         coef[0] = coef[-1] = g / (1.0 + math.sqrt(1.0 - g * g))
     padded = np.concatenate([ends[0], s, ends[1]], axis=-1)
     return 0.5 * (1.0 - coef * s * (padded[..., :-2] + padded[..., 2:]))
+
+
+def flux_residual_by_sites(w: np.ndarray, energies: np.ndarray) -> float:
+    """Worst relative single-flip flux imbalance of a (2^n, n) rate table
+    against the weights e^{-E}.
+
+    For every configuration sigma and site i, compares w_i(sigma) e^{-E(sigma)}
+    with w_i(sigma^i) e^{-E(sigma^i)} (sigma^i = sigma with site i flipped),
+    normalized by the larger flux of the pair; energies are shifted per pair
+    so the exponentials stay finite.
+    """
+    idx = np.arange(w.shape[0], dtype=np.int64)
+    worst = 0.0
+    for i in range(w.shape[1]):
+        flipped = idx ^ (1 << i)
+        e_ref = np.minimum(energies, energies[flipped])
+        flux_out = w[:, i] * np.exp(-(energies - e_ref))
+        flux_back = w[flipped, i] * np.exp(-(energies[flipped] - e_ref))
+        scale = np.maximum(np.maximum(flux_out, flux_back), 1e-300)
+        worst = max(worst, float(np.max(np.abs(flux_out - flux_back) / scale)))
+    return worst
 
 
 def hamiltonian(tape: SpinTape, coupling: float) -> float:

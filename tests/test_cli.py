@@ -530,6 +530,25 @@ def test_unknown_init_rejected():
     assert main(["simulate", "--n", "3", "--gamma", "0", "--init", "sideways"]) == 2
 
 
+@pytest.mark.parametrize("extra", [["--trajectories", "0"], ["--trajectories", "3"],
+                                   ["--trajectories", "3", "--workers", "2"]])
+@pytest.mark.parametrize("init, message", [
+    ("sideways", "error: unknown --init 'sideways'\n"),
+    ("index:8", "error: --init 'index:8': index 8 out of range for 3 cells\n"),
+])
+def test_simulate_rejects_bad_start_before_sampling(tmp_path, capsys, monkeypatch,
+                                                    extra, init, message):
+    # the start is read once, before any stream is spawned or worker started;
+    # with no trajectories it was never read and the run exited 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _never)
+    monkeypatch.setattr(cli, "TuringVoter", _never)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--n", "3", "--gamma", "0.5", "--init", init,
+                 "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err == message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_stdout_output(capsys):
     assert main(["thermo", "--n", "1", "--coupling", "2", "--temperature", "1",
                  "--out", "-"]) == 0

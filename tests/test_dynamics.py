@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import expm_action, flip_rates, neighbourhoods, uniformized_kernel
+from oracles import (expm_action, flip_rates, flux_residual_by_sites, neighbourhoods,
+                     uniformized_kernel)
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -17,6 +18,7 @@ from voterchain.core import (
     encode_state,
     magnetization_vector,
     spin_table,
+    state_energies,
 )
 from voterchain.dynamics import (
     EXACT_SITE_CAP,
@@ -371,11 +373,78 @@ def test_detailed_balance_needs_triple():
 
 
 def test_flux_residual_detects_mismatch():
-    from voterchain.core import state_energies
     wrong = ModelParams.from_gamma(math.tanh(2.0) * 0.9)
-    w = rates(spin_table(4), wrong)
     energies = state_energies(4, 1.0, Boundary.PERIODIC)
-    assert flux_residual(w, energies, 1.0) > 1e-2
+    assert flux_residual(build_generator(4, wrong), energies) > 1e-2
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), beta_j=st.floats(-3.0, 3.0),
+       shift=st.sampled_from([0.0, 0.0, 1e-9, -0.05, 0.05, 0.3]),
+       boundary=st.sampled_from(list(Boundary)))
+@example(n=4, beta_j=3.0, shift=0.05, boundary=Boundary.PERIODIC)
+@example(n=5, beta_j=-3.0, shift=0.05, boundary=Boundary.OPEN)
+def test_flux_residual_matches_site_by_site_oracle(n, beta_j, shift, boundary):
+    # the generator's stored rates against the per-site loop over the rate
+    # table, at Glauber's gamma and at gammas shifted off it (clipped to
+    # [-1, 1], where some rates vanish one way only)
+    gamma = float(np.clip(math.tanh(2.0 * beta_j) + shift, -1.0, 1.0))
+    params = ModelParams.from_gamma(gamma, boundary=boundary)
+    energies = state_energies(n, beta_j, boundary)
+    expected = flux_residual_by_sites(flip_rates(spin_table(n), params), energies)
+    assert flux_residual(build_generator(n, params), energies) == expected
+
+
+def test_flux_residual_without_off_diagonal_is_zero():
+    # a single open cell flips at rate 1/2 each way; a zero operator has no
+    # off-diagonal entry at all
+    gen = build_generator(1, ModelParams.from_gamma(0.3, boundary=Boundary.OPEN))
+    assert flux_residual(gen, np.array([0.0, 0.0])) == 0.0
+    empty = GeneratorMatrix(n_sites=1, matrix=sparse.csc_array((2, 2)))
+    assert flux_residual(empty, np.array([0.0, 5.0])) == 0.0
+
+
+def _rotation_lumped(gen):
+    """Generator over the rotation orbits of a ring and the orbit-membership
+    matrix (orbits by states): the rate from orbit o to orbit o' is the total
+    rate from one member of o into o'."""
+    n = gen.n_sites
+    orbit_of = {}
+    for idx in range(2**n):
+        rotations = [((idx << k) | (idx >> (n - k))) & (2**n - 1) for k in range(n)]
+        orbit_of[idx] = min(rotations)
+    reps = sorted(set(orbit_of.values()))
+    label = np.array([reps.index(orbit_of[i]) for i in range(2**n)])
+    member = np.zeros((len(reps), 2**n))
+    member[label, np.arange(2**n)] = 1.0
+    dense = gen.matrix.toarray()
+    lumped = member @ dense[:, reps]
+    return GeneratorMatrix(n_sites=n, matrix=sparse.csc_array(lumped)), member
+
+
+@pytest.mark.parametrize("gamma, beta_j", [(math.tanh(1.4), 0.7), (1.0, None)])
+def test_exact_operations_run_on_a_lumped_ring(gamma, beta_j):
+    # n = 2 ring: orbits {00}, {01, 10}, {11}, so the operator is 3 x 3
+    params = ModelParams(gamma=gamma, beta_j=beta_j)
+    gen = build_generator(2, params)
+    lumped, member = _rotation_lumped(gen)
+    assert lumped.dim == 3
+    assert column_sum_residual(lumped) <= 1e-15
+    p0 = np.array([0.1, 0.3, 0.3, 0.3])  # uniform on each orbit
+    for t in (0.0, 0.4, 3.0):
+        full = evolve_exact(p0, gen, t)
+        assert np.abs(evolve_exact(member @ p0, lumped, t) - member @ full).max() <= 1e-15
+    laws = stationary_distributions(lumped)
+    expected = [member @ law for law in stationary_distributions(gen)]
+    assert len(laws) == len(expected)
+    for law, want in zip(laws, expected):
+        assert np.abs(law - want).max() <= 1e-15
+    if beta_j is not None:
+        # orbit o carries |o| states of energy E_o, so its weight is e^{-(E_o - ln|o|)}
+        energies = state_energies(2, beta_j, Boundary.PERIODIC)
+        orbit_energies = member @ energies / member.sum(axis=1) - np.log(member.sum(axis=1))
+        assert flux_residual(lumped, orbit_energies) <= 1e-15
+        assert flux_residual(gen, energies) <= 1e-15
 
 
 def test_mean_magnetization_curve():

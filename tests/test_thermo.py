@@ -243,6 +243,51 @@ def test_entropy_exceeds_gibbs_entropy_by_documented_offset():
         S_8_X1 - S_GIBBS_8_X1, rel=1e-12)
 
 
+def _gibbs_entropy_reference(n, x):
+    """N ln 2 + (N-1)(ln cosh x - x tanh x) in mpmath, with enough digits that
+    the two terms of size |x| leave the O(1) difference intact."""
+    if math.isinf(x):
+        return n * LN2 - (n - 1) * LN2
+    with mpmath.workdps(int(math.log10(max(abs(x), 1.0))) + 40):
+        xm = mpmath.mpf(x)
+        bond = mpmath.log(mpmath.cosh(xm)) - xm * mpmath.tanh(xm)
+        return float(n * mpmath.log(2) + (n - 1) * bond)
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.3, 1.0, 2.5, 10.0, 30.0, 400.0, 1e3, 1e10, 1e14,
+                               1e15, 1e16, 1e100, 1e300, -1e300, math.inf])
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_gibbs_entropy_keeps_its_low_temperature_limit(n, x):
+    # ln cosh x - x tanh x was the difference of two terms of size |x|; at
+    # N = 3 it read 0.70 at x = 1e14, 3 ln 2 from x = 1e16 and nan at x = inf
+    assert gibbs_entropy(n, x, 1.0) == pytest.approx(_gibbs_entropy_reference(n, x),
+                                                     rel=1e-13)
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 1e-10, 1e-14, 1e-15, 1e-16, 1e-300, 5e-324])
+def test_closed_forms_at_vanishing_temperature(temperature):
+    # x = J/(kT) overflows to inf at T = 5e-324; two ground states remain
+    assert gibbs_entropy(3, 1.0, temperature) == pytest.approx(LN2, rel=1e-13)
+    with mpmath.workdps(50):
+        t = mpmath.mpf(temperature)
+        f = -t * (3 * mpmath.log(2) + 2 * mpmath.log(mpmath.cosh(1 / t)))
+    assert free_energy(3, 1.0, temperature) == pytest.approx(float(f), rel=1e-15)
+    assert free_energy(3, -1.0, temperature) == free_energy(3, 1.0, temperature)
+
+
+def test_thermo_row_at_vanishing_temperature(tmp_path):
+    # F reaches its limit -(N-1)|J| where it was -inf; the reported S and the
+    # gap keep their own limit, inf, that criteria 01 and 02 hold them to
+    from voterchain.cli import main
+    out = tmp_path / "t.csv"
+    assert main(["thermo", "--n", "3", "--coupling", "1", "--temperature", "5e-324",
+                 "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[-1]
+    assert row == "3,1,4.94065646e-324,1,1,-2,2,inf,2.07944154,inf"
+    rep = thermo_report(3, 1.0, 5e-324)
+    assert (rep.free_energy, rep.entropy, rep.gap) == (-2.0, math.inf, math.inf)
+
+
 def test_energies_and_gibbs_law_need_a_boundary():
     # ModelParams defaults to a ring, so a default here could silently
     # compare a ring's law with an open chain's
