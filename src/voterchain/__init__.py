@@ -26,7 +26,6 @@ from .dynamics import (
     detailed_balance_residual,
     evolve_exact,
     kmc_sample,
-    mean_magnetization_curve,
     rates,
     stationary_distributions,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "kmc_sample",
     "landauer_floor",
     "landauer_gap",
-    "mean_magnetization_curve",
     "rates",
     "run_verify",
     "stationary_distributions",

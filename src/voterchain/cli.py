@@ -273,8 +273,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file supplying flag defaults")
     sub.add_argument("--out", default="-", help="output CSV path ('-' for stdout)")
-    sub.add_argument("--seed", type=int, default=0, help="master seed, recorded in headers")
     sub.add_argument("--digits", type=int, default=9, help="significant digits in output")
+
+
+def _add_seed(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=0, help="master seed, recorded in headers")
 
 
 def _add_physical(sub: argparse.ArgumentParser) -> None:
@@ -304,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("simulate", help="sample seeded machine trajectories")
     _add_model(p)
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--trajectories", type=int, default=1)
     p.add_argument("--t-end", type=float, help="machine-time budget (ceil(t*N) steps)")
     p.add_argument("--max-steps", type=int, help="explicit step budget (overrides --t-end)")
@@ -317,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("exact", help="evolve the full distribution exactly")
     _add_model(p)
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--t-end", type=float, default=1.0)
     p.add_argument("--t-steps", type=int, default=10,
                    help="number of intervals on [0, t-end]")
@@ -326,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("verify", help="run the verification suite")
     _add_common(p)
+    _add_seed(p)
     p.add_argument("--fast", action="store_true", help="shrink sampled checks")
     p.add_argument("--inject-gamma-error", action="store_true",
                    help="append a negative control that must fail")
@@ -382,13 +388,15 @@ def _is_number(token: str) -> bool:
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join a negative number to the flag before it (`--t-end -1e3` becomes
-    `--t-end=-1e3`), since argparse takes `-1e3` or `-inf` for an option and
-    fails with its own `expected one argument` before the value is checked."""
+    """Join a negative value to the flag before it (`--t-end -1e3` becomes
+    `--t-end=-1e3`): a token that is a negative number such as `-inf`, or
+    starts with `-` and a digit or a point, such as the range `-3:3:61`.
+    argparse takes these for options and fails with its own `expected one
+    argument` before the value is checked."""
     out: list[str] = []
     for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1]
-                and token.startswith("-") and _is_number(token)):
+        if (out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-")
+                and (token[1:2] in tuple("0123456789.") or _is_number(token))):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -401,6 +409,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(_attach_negative_values(_apply_config_file(argv)))
         if args.digits < 0:
             raise ValueError("--digits must be nonnegative")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("--seed must be nonnegative")
         t_end = getattr(args, "t_end", None)
         if t_end is not None:
             if t_end < 0:

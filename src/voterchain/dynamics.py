@@ -26,7 +26,10 @@ nonnegative column-stochastic kernel and exp(G t) P = sum_k
 Pois(Lambda t; k) K^k P, a Poisson number of steps of a discrete chain.  At
 Lambda = N, K is the machine's own one-step kernel: pick one of the N sites
 uniformly and flip it with probability w_i.  The Poisson tails left out each
-hold at most 2^-53 of the mass.  Its stationary laws are the
+hold at most 2^-53 of the mass.  A time grid is walked by `_stepped`, which
+reaches each grid time from the one before; an observable such as the mean
+magnetization is read off each P(t) by its caller, as the `exact` command
+and the relaxation check do.  The chain's stationary laws are the
 results the machine can settle on: one law per closed class of the flip
 graph, such as the two consensus tapes at gamma = 1 or the two alternating
 tapes of an even ring at gamma = -1, and the single Gibbs law in between.
@@ -44,7 +47,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
 
-from .core import Boundary, ModelParams, SpinTape, magnetization_vector, spin_table, state_energies
+from .core import Boundary, ModelParams, SpinTape, spin_table, state_energies
 
 EXACT_SITE_CAP = 14
 
@@ -53,11 +56,11 @@ EXACT_SITE_CAP = 14
 class GeneratorMatrix:
     """Transition-rate operator: entry (b, a) of `matrix` is the rate from
     state a to state b, and only nonzero rates are stored.  `build_generator`
-    makes one over the 2^n_sites configurations of n_sites cells; `dim` is
-    read from the matrix, so an operator over fewer states, such as a chain
-    lumped by its symmetries, runs through the same exact operations."""
+    makes one over the 2^n configurations of n cells.  The matrix is all it
+    holds, and every exact operation reads its size from it, so an operator
+    over other states, such as a chain lumped by its symmetries, runs
+    through the same operations."""
 
-    n_sites: int
     matrix: sparse.csc_array
 
     @property
@@ -76,11 +79,11 @@ class GeneratorMatrix:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One continuous-time sample path: flip events (time, site) on [0, t_end]."""
+    """One continuous-time sample path: the start tape and its flip events
+    (time, site) in time order."""
 
     initial: SpinTape
     events: tuple[tuple[float, int], ...]
-    t_end: float
 
     def final_tape(self) -> SpinTape:
         s = list(self.initial.symbols)
@@ -174,7 +177,7 @@ def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     data = w.T.reshape(-1)
     g = sparse.csc_array((data, (rows, cols)), shape=(dim, dim))
     g = g + sparse.dia_array((-w.sum(axis=1)[None, :], [0]), shape=(dim, dim)).tocsc()
-    return GeneratorMatrix(n_sites=n, matrix=g)
+    return GeneratorMatrix(g)
 
 
 def column_sum_residual(gen: GeneratorMatrix) -> float:
@@ -356,23 +359,6 @@ def detailed_balance_residual(n: int, params: ModelParams) -> float:
                          state_energies(n, params.beta_j, params.boundary))
 
 
-def mean_magnetization_curve(p0: np.ndarray, gen: GeneratorMatrix,
-                             times: np.ndarray | list[float]) -> np.ndarray:
-    """<m>(t) = sum_sigma m(sigma) P_sigma(t), m the mean symbol, at each
-    requested time.
-
-    The times may come in any order and repeat; they are visited in ascending
-    order and the results are returned in the order given.
-    """
-    m = magnetization_vector(gen.n_sites)
-    times = np.asarray(times, dtype=np.float64)
-    order = np.argsort(times, kind="stable")
-    curve = np.empty(times.size)
-    for k, p in zip(order, _stepped(p0, gen, times[order])):
-        curve[k] = m @ p
-    return curve
-
-
 def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,
                seed: int | np.random.SeedSequence | np.random.Generator) -> Trajectory:
     """Exact continuous-time sampling (Gillespie) of the flip process.
@@ -409,4 +395,4 @@ def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,
         site = min(bisect_right(running, uniform() * total), last)
         events.append((t, site))
         _refresh(site, codes, w, table)
-    return Trajectory(initial=tape0, events=tuple(events), t_end=float(t_end))
+    return Trajectory(initial=tape0, events=tuple(events))

@@ -84,11 +84,11 @@ def neighbourhoods(spins) -> np.ndarray:
     return 4 * padded[..., :-2] + 2 * b + padded[..., 2:]
 
 
-def uniformized_kernel(gen: GeneratorMatrix) -> sparse.csc_array:
-    """One-step kernel K = I + G/N of the discrete chain that picks a site
-    uniformly and flips with probability w_i; K^j averaged over a Poisson(Nt)
-    step count reproduces exp(G t)."""
-    return sparse.identity(gen.dim, format="csc") + gen.matrix * (1.0 / gen.n_sites)
+def uniformized_kernel(gen: GeneratorMatrix, n: int) -> sparse.csc_array:
+    """One-step kernel K = I + G/n of the discrete chain on n cells that picks
+    a site uniformly and flips with probability w_i; K^j averaged over a
+    Poisson(n t) step count reproduces exp(G t)."""
+    return sparse.identity(gen.dim, format="csc") + gen.matrix * (1.0 / n)
 
 
 def expm_action(gen: GeneratorMatrix, t: float, p0: np.ndarray) -> np.ndarray:

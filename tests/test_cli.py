@@ -36,16 +36,32 @@ def test_thermo_row(tmp_path):
 
 
 def test_header_records_version_config_seed(tmp_path):
-    out = tmp_path / "t.csv"
-    main(["thermo", "--n", "2", "--coupling", "0.5", "--temperature", "2",
-          "--seed", "77", "--out", str(out)])
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--n", "2", "--coupling", "0.5", "--temperature", "2",
+                 "--seed", "77", "--out", str(out)]) == 0
     header = [line for line in out.read_text().splitlines() if line.startswith("#")]
     assert header[0].startswith("# voterchain ")
-    assert header[1] == "# command: thermo"
+    assert header[1] == "# command: simulate"
     assert "coupling=0.5" in header[2] and "n=2" in header[2]
-    # the closed forms are those of the open chain, so no boundary is recorded
-    assert "boundary=" not in header[2]
+    assert "boundary=periodic" in header[2]
     assert header[3] == "# seed: 77"
+
+
+def test_closed_form_headers_record_no_boundary_and_seed_zero(tmp_path):
+    # thermo and sweep draw nothing and print the open chain's closed forms,
+    # so they take no --seed and record neither a boundary nor a given seed
+    out = tmp_path / "t.csv"
+    assert main(["thermo", "--n", "2", "--coupling", "0.5", "--temperature", "2",
+                 "--out", str(out)]) == 0
+    header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+    assert header[1] == "# command: thermo"
+    assert "boundary=" not in header[2]
+    assert header[3] == "# seed: 0"
+    for argv in (["thermo", "--n", "2", "--coupling", "0.5", "--temperature", "2"],
+                 ["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1:2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "77"])
+        assert exc.value.code == 2
 
 
 def test_thermo_rejects_gamma_only(capsys):
@@ -140,6 +156,45 @@ def test_simulate_rejects_negative_end_time(capsys):
         assert capsys.readouterr().err == "error: --t-end must be finite\n"
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_sweep_takes_a_negative_range_after_its_flag(tmp_path, via_config):
+    # argparse once took -3:3:5 for an option and exited 2 before the range
+    # was parsed; only --sweep-betaj=-3:3:5 worked
+    joined, spaced = tmp_path / "joined.csv", tmp_path / "spaced.csv"
+    assert main(["sweep", "--sweep-n", "1:2", "--sweep-betaj=-3:3:5", "--out", str(joined)]) == 0
+    if via_config:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sweep_n = 1:2\nsweep_betaj = -3:3:5\n")
+        argv = ["sweep", "--config", str(cfg)]
+    else:
+        argv = ["sweep", "--sweep-n", "1:2", "--sweep-betaj", "-3:3:5"]
+    assert main(argv + ["--out", str(spaced)]) == 0
+    assert _data_lines(spaced) == _data_lines(joined)
+    assert [row.split(",")[1] for row in _data_lines(spaced)[1:6]] == [
+        "-3", "-1.5", "0", "1.5", "3"]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "3", "--gamma", "0.5"],
+    ["exact", "--n", "3", "--gamma", "0.5"],
+    ["verify", "--fast"],
+])
+def test_negative_seed_rejected_by_name(tmp_path, capsys, monkeypatch, argv, via_config):
+    # numpy rejected it with `expected non-negative integer`, naming no flag
+    monkeypatch.setattr(cli, "run_verify", _never)
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--seed", "-1"]
+    out = tmp_path / "x.csv"
+    assert main(argv + extra + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["thermo", "--n", "2", "--coupling", "1", "--temperature", "1"],
     ["simulate", "--n", "3", "--gamma", "0.5"],
@@ -152,7 +207,7 @@ def test_negative_digits_rejected(argv, capsys):
     assert capsys.readouterr().err == "error: --digits must be nonnegative\n"
 
 
-_COMMON = ["--config", "--digits", "--out", "--seed"]
+_COMMON = ["--config", "--digits", "--out"]
 _MODEL = ["--boltzmann", "--boundary", "--coupling", "--gamma", "--n", "--temperature"]
 
 
@@ -165,14 +220,14 @@ def test_every_subcommand_lists_its_options():
                for name, sub in subcommands.items()}
     assert options == {
         "thermo": sorted(_COMMON + ["--boltzmann", "--coupling", "--n", "--temperature"]),
-        "simulate": sorted(_COMMON + _MODEL + ["--events", "--init", "--max-steps",
+        "simulate": sorted(_COMMON + _MODEL + ["--events", "--init", "--max-steps", "--seed",
                                                "--t-end", "--trajectories", "--workers"]),
-        "exact": sorted(_COMMON + _MODEL + ["--init", "--t-end", "--t-steps"]),
-        "verify": sorted(_COMMON + ["--fast", "--inject-gamma-error"]),
+        "exact": sorted(_COMMON + _MODEL + ["--init", "--seed", "--t-end", "--t-steps"]),
+        "verify": sorted(_COMMON + ["--fast", "--inject-gamma-error", "--seed"]),
         "sweep": sorted(_COMMON + ["--boltzmann", "--sweep-betaj", "--sweep-n",
                                    "--temperature"]),
     }
-    assert sum(map(len, options.values())) == 51
+    assert sum(map(len, options.values())) == 49
 
 
 def _readme_command_lines():
@@ -192,7 +247,18 @@ def test_readme_command_lines_parse():
     for line in lines:
         tokens = shlex.split(line, comments=True)
         assert tokens[0] == "voterchain"
-        parser.parse_args(tokens[1:])
+        # as main does, so a value such as -2.0:2.0:9 stays with its flag
+        parser.parse_args(cli._attach_negative_values(tokens[1:]))
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every example but the verify runs (covered by the verify tests) exits 0
+    monkeypatch.chdir(tmp_path)
+    lines = [line for line in _readme_command_lines() if not line.startswith("voterchain verify")]
+    assert len(lines) >= 5
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_simulate_runs_every_attempt_through_the_machine_methods(tmp_path, monkeypatch):

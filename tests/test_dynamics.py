@@ -33,7 +33,6 @@ from voterchain.dynamics import (
     evolve_exact,
     flux_residual,
     kmc_sample,
-    mean_magnetization_curve,
     point_mass,
     rates,
     stationary_distributions,
@@ -342,7 +341,7 @@ def _flip_four_cycle(forward, back):
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         g[b, a], g[a, b] = forward, back
     g -= np.diag(g.sum(axis=0))
-    return GeneratorMatrix(n_sites=2, matrix=sparse.csc_array(g))
+    return GeneratorMatrix(sparse.csc_array(g))
 
 
 @pytest.mark.parametrize("back", [0.0, 7.0, np.nan])
@@ -400,15 +399,14 @@ def test_flux_residual_without_off_diagonal_is_zero():
     # off-diagonal entry at all
     gen = build_generator(1, ModelParams.from_gamma(0.3, boundary=Boundary.OPEN))
     assert flux_residual(gen, np.array([0.0, 0.0])) == 0.0
-    empty = GeneratorMatrix(n_sites=1, matrix=sparse.csc_array((2, 2)))
+    empty = GeneratorMatrix(sparse.csc_array((2, 2)))
     assert flux_residual(empty, np.array([0.0, 5.0])) == 0.0
 
 
-def _rotation_lumped(gen):
-    """Generator over the rotation orbits of a ring and the orbit-membership
-    matrix (orbits by states): the rate from orbit o to orbit o' is the total
-    rate from one member of o into o'."""
-    n = gen.n_sites
+def _rotation_lumped(gen, n):
+    """Generator over the rotation orbits of an n-cell ring and the
+    orbit-membership matrix (orbits by states): the rate from orbit o to
+    orbit o' is the total rate from one member of o into o'."""
     orbit_of = {}
     for idx in range(2**n):
         rotations = [((idx << k) | (idx >> (n - k))) & (2**n - 1) for k in range(n)]
@@ -419,7 +417,7 @@ def _rotation_lumped(gen):
     member[label, np.arange(2**n)] = 1.0
     dense = gen.matrix.toarray()
     lumped = member @ dense[:, reps]
-    return GeneratorMatrix(n_sites=n, matrix=sparse.csc_array(lumped)), member
+    return GeneratorMatrix(sparse.csc_array(lumped)), member
 
 
 @pytest.mark.parametrize("gamma, beta_j", [(math.tanh(1.4), 0.7), (1.0, None)])
@@ -427,13 +425,17 @@ def test_exact_operations_run_on_a_lumped_ring(gamma, beta_j):
     # n = 2 ring: orbits {00}, {01, 10}, {11}, so the operator is 3 x 3
     params = ModelParams(gamma=gamma, beta_j=beta_j)
     gen = build_generator(2, params)
-    lumped, member = _rotation_lumped(gen)
+    lumped, member = _rotation_lumped(gen, 2)
     assert lumped.dim == 3
     assert column_sum_residual(lumped) <= 1e-15
     p0 = np.array([0.1, 0.3, 0.3, 0.3])  # uniform on each orbit
-    for t in (0.0, 0.4, 3.0):
+    times = (0.0, 0.4, 3.0)
+    for t in times:
         full = evolve_exact(p0, gen, t)
         assert np.abs(evolve_exact(member @ p0, lumped, t) - member @ full).max() <= 1e-15
+    # the time-grid walk runs on the lumped operator too
+    for orbit_law, full in zip(_stepped(member @ p0, lumped, times), _stepped(p0, gen, times)):
+        assert np.abs(orbit_law - member @ full).max() <= 1e-15
     laws = stationary_distributions(lumped)
     expected = [member @ law for law in stationary_distributions(gen)]
     assert len(laws) == len(expected)
@@ -447,31 +449,23 @@ def test_exact_operations_run_on_a_lumped_ring(gamma, beta_j):
         assert flux_residual(gen, energies) <= 1e-15
 
 
+def _mean_magnetization(p0, gen, n, times):
+    """<m>(t) at the ascending `times`, read off the stepped exact evolution."""
+    m = magnetization_vector(n)
+    return np.array([m @ p for p in _stepped(p0, gen, times)])
+
+
 def test_mean_magnetization_curve():
     times = [0.0, 0.4, 1.7]
     gen = build_generator(4, ModelParams.from_gamma(0.0))
-    m = mean_magnetization_curve(point_mass(15, 4), gen, times)
+    m = _mean_magnetization(point_mass(15, 4), gen, 4, times)
     assert np.abs(m - np.exp(-np.asarray(times))).max() <= 1e-12
     # symmetric start stays at zero
-    sym = mean_magnetization_curve(uniform_distribution(4), gen, times)
+    sym = _mean_magnetization(uniform_distribution(4), gen, 4, times)
     assert np.abs(sym).max() <= 1e-13
     voter = build_generator(4, ModelParams.from_gamma(1.0))
-    conserved = mean_magnetization_curve(point_mass(1, 4), voter, times)
+    conserved = _mean_magnetization(point_mass(1, 4), voter, 4, times)
     assert np.abs(conserved - conserved[0]).max() <= 1e-12
-
-
-def test_mean_magnetization_curve_any_time_order():
-    gen = build_generator(5, ModelParams.from_gamma(0.4))
-    p0 = point_mass(22, 5)
-    times = [2.0, 0.0, 0.7, 2.0, 0.3, 0.7]
-    curve = mean_magnetization_curve(p0, gen, times)
-    ordered = mean_magnetization_curve(p0, gen, sorted(times))
-    assert np.array_equal(curve[np.argsort(times, kind="stable")], ordered)
-    assert curve[1] == pytest.approx(0.2, abs=1e-15)
-    assert curve[0] == curve[3] and curve[2] == curve[5]
-    assert mean_magnetization_curve(p0, gen, []).shape == (0,)
-    with pytest.raises(ValueError):
-        mean_magnetization_curve(p0, gen, [1.0, -0.5, 2.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -485,9 +479,6 @@ def test_stepping_matches_restarts(n, gamma, boundary, uniform, times, data):
     else:
         p0 = point_mass(data.draw(st.integers(0, 2**n - 1)), n)
     restarts = [evolve_exact(p0, gen, t) for t in times]
-    m = magnetization_vector(n)
-    curve = mean_magnetization_curve(p0, gen, times)
-    assert np.abs(curve - np.array([m @ p for p in restarts])).max() <= 1e-12
     order = np.argsort(times, kind="stable")
     for k, p in zip(order, _stepped(p0, gen, np.asarray(times)[order])):
         assert np.abs(p - restarts[k]).max() <= 1e-12
@@ -498,7 +489,7 @@ def test_relaxation_rate_tracks_gamma():
     times = np.array([0.2, 0.9, 3.0])
     for gamma in (0.25, 0.75):
         gen = build_generator(6, ModelParams.from_gamma(gamma))
-        curve = mean_magnetization_curve(point_mass(63, 6), gen, times)
+        curve = _mean_magnetization(point_mass(63, 6), gen, 6, times)
         predicted = np.exp(-(1 - gamma) * times)
         assert np.abs(curve / predicted - 1.0).max() <= 1e-10
 
@@ -506,7 +497,7 @@ def test_relaxation_rate_tracks_gamma():
 def test_uniformized_kernel_is_stochastic():
     for gamma in (0.0, 0.7, 1.0):
         gen = build_generator(3, ModelParams.from_gamma(gamma))
-        k = uniformized_kernel(gen).toarray()
+        k = uniformized_kernel(gen, 3).toarray()
         assert np.abs(k.sum(axis=0) - 1.0).max() <= 1e-12
         assert k.min() >= 0.0
 

@@ -169,7 +169,7 @@ def test_distribution_after_poisson_step_count_matches_exact():
 
 
 def _kernel_power_z(n: int, gamma: float, k: int, trials: int, seed: int) -> float:
-    kernel = uniformized_kernel(build_generator(n, ModelParams.from_gamma(gamma))).toarray()
+    kernel = uniformized_kernel(build_generator(n, ModelParams.from_gamma(gamma)), n).toarray()
     target = np.linalg.matrix_power(kernel, k) @ point_mass(
         encode_state(SpinTape.alternating(n)), n)
     counts = _empirical_counts(n, gamma, lambda rng: k, trials, seed)
@@ -191,7 +191,7 @@ def test_poisson_weighted_kernel_powers_reproduce_exact_evolution():
     # exp(G t) = sum_k Pois(N t)(k) K^k, confirming the time convention
     n, gamma, t = 4, 0.5, 0.75
     gen = build_generator(n, ModelParams.from_gamma(gamma))
-    kernel = uniformized_kernel(gen).toarray()
+    kernel = uniformized_kernel(gen, n).toarray()
     p0 = point_mass(encode_state(SpinTape.alternating(n)), n)
     lam = n * t
     mix = np.zeros_like(p0)
@@ -227,7 +227,7 @@ def test_steps_to_halt_follow_absorbed_kernel_mass(boundary):
     n, trials, horizon = 6, 4_000, 400
     params = ModelParams.from_gamma(1.0, boundary=boundary)
     tape = SpinTape.alternating(n, boundary)
-    kernel = uniformized_kernel(build_generator(n, params)).toarray()
+    kernel = uniformized_kernel(build_generator(n, params), n).toarray()
     p = point_mass(encode_state(tape), n)
     cdf = np.empty(horizon + 1)
     for k in range(horizon + 1):
