@@ -45,7 +45,7 @@ def _config_line(args: argparse.Namespace) -> str:
         if key in _HEADER_SKIP:
             continue
         value = getattr(args, key)
-        if value is None or callable(value):
+        if value is None:
             continue
         if isinstance(value, bool):
             value = "true" if value else "false"
@@ -151,6 +151,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("--max-steps must be nonnegative")
     if args.trajectories < 0:
         raise ValueError("--trajectories must be nonnegative")
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     if n < 1:
         raise ValueError("--n must be at least 1")
     # read once, before any stream or worker exists

@@ -94,17 +94,22 @@ class ModelParams:
 
 
 def _beta_j(coupling: float, temperature: float, boltzmann: float) -> float:
-    """x = J/(kT), rejecting by name a NaN coupling, a T or k that is not
-    positive (NaN included) and a product kT that underflows to 0."""
-    if math.isnan(coupling):
-        raise ValueError(f"coupling must be a number, got {coupling}")
+    """x = J/(kT), rejecting by name a T or k that is not positive (NaN
+    included), a product kT that underflows to 0 or is not finite, and a NaN
+    coupling.  T and k are checked first, so a coupling formed from them
+    fails by their name."""
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if not boltzmann > 0:
         raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
-    if boltzmann * temperature == 0:
+    kt = boltzmann * temperature
+    if kt == 0:
         raise ValueError(f"boltzmann * temperature underflows to 0 at {boltzmann} * {temperature}")
-    return coupling / (boltzmann * temperature)
+    if kt == math.inf:
+        raise ValueError(f"boltzmann * temperature is not finite at {boltzmann} * {temperature}")
+    if math.isnan(coupling):
+        raise ValueError(f"coupling must be a number, got {coupling}")
+    return coupling / kt
 
 
 def encode_state(tape: SpinTape) -> int:

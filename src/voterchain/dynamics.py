@@ -55,11 +55,12 @@ EXACT_SITE_CAP = 14
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Transition-rate operator: entry (b, a) of `matrix` is the rate from
-    state a to state b, and only nonzero rates are stored.  `build_generator`
-    makes one over the 2^n configurations of n cells.  The matrix is all it
-    holds, and every exact operation reads its size from it, so an operator
-    over other states, such as a chain lumped by its symmetries, runs
-    through the same operations."""
+    state a to state b.  A transition is a nonzero rate, so a stored zero is
+    none.  `build_generator` makes one over the 2^n configurations of n
+    cells and stores no zero.  The matrix is all it holds, and every exact
+    operation reads its size from it, so an operator over other states,
+    such as a chain lumped by its symmetries, runs through the same
+    operations."""
 
     matrix: sparse.csc_array
 
@@ -71,10 +72,11 @@ class GeneratorMatrix:
     def _uniformized(self) -> tuple[float, sparse.csr_array]:
         """The largest exit rate Lambda and the kernel K = I + G/Lambda,
         stored by rows for fast products.  Every entry of K is nonnegative,
-        since no exit rate exceeds Lambda, and every column sums to 1."""
+        since no exit rate exceeds Lambda, and every column sums to 1.  An
+        operator that no state leaves has Lambda = 0 and K = I."""
         rate = float(np.abs(self.matrix.diagonal()).max())
         eye = sparse.dia_array((np.ones((1, self.dim)), [0]), shape=(self.dim, self.dim))
-        return rate, (self.matrix / rate + eye).tocsr()
+        return rate, ((self.matrix / rate if rate else self.matrix) + eye).tocsr()
 
 
 @dataclass(frozen=True)
@@ -167,16 +169,18 @@ def _check_exact_size(n: int) -> None:
 
 
 def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
-    """Assemble the 2^n x 2^n transition-rate operator from single-site rates."""
+    """Assemble the 2^n x 2^n transition-rate operator from single-site
+    rates: each flip's rate and each state's diagonal in one construction,
+    with the zero rates at gamma = +-1 dropped."""
     _check_exact_size(n)
     w = rates(spin_table(n), params)
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([idx ^ (1 << i) for i in range(n)])
-    cols = np.tile(idx, n)
-    data = w.T.reshape(-1)
+    rows = np.concatenate([idx ^ (1 << i) for i in range(n)] + [idx])
+    cols = np.tile(idx, n + 1)
+    data = np.concatenate([w.T.reshape(-1), -w.sum(axis=1)])
     g = sparse.csc_array((data, (rows, cols)), shape=(dim, dim))
-    g = g + sparse.dia_array((-w.sum(axis=1)[None, :], [0]), shape=(dim, dim)).tocsc()
+    g.eliminate_zeros()
     return GeneratorMatrix(g)
 
 
@@ -239,18 +243,16 @@ def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     mass and every K^k P(0) is a probability vector, so truncation moves no
     entry by more than 2^-52 in max norm; roundoff in the products adds
     about 1e-14 at Lambda t = 6000.  Every term is nonnegative, so P(t) is
-    too, and its mass is 1 up to roundoff.  When t times the largest exit
-    rate is below the smallest normal float (t = 0 included), the step
-    underflows, P(t) differs from P(0) by less than that, and a copy of P(0)
-    is returned.  A negative, infinite or NaN t is rejected.
+    too, and its mass is 1 up to roundoff.  At t = 0, when Lambda t
+    underflows, or when no state can leave (K = I), the window is the one
+    weight 1 and P(t) is a copy of P(0), bit for bit.  A negative, infinite
+    or NaN t is rejected.
     """
     if not 0 <= t < math.inf:
         raise ValueError(f"time must be nonnegative and finite, got {t}")
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
-    if t * np.abs(gen.matrix.diagonal()).max() < np.finfo(np.float64).tiny:
-        return p0.copy()
     rate, kernel = gen._uniformized
     first, weights = _poisson_window(rate * t)
     p = p0
@@ -277,23 +279,24 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
 def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     """Basis of stationary distributions: one law per closed class.
 
-    The classes are the strongly connected components of the flip graph (the
-    same for the graph and its transpose, so the generator is labelled as
-    stored); a class is closed when no transition leaves it.  Each closed
-    class carries exactly one stationary law, zero outside the class.  Only
-    reversible classes are solved, and every generator `build_generator`
-    makes is reversible, at gamma = +-1 included: within a class the law
-    follows Kolmogorov's spanning-tree construction (Kelly, Reversibility and
-    Stochastic Networks, 1979, section 1.5), p(child) = p(parent) *
-    G[child, parent] / G[parent, child] along a breadth-first tree, summed in
-    logs so rates near 0 at gamma near +-1 lose no precision.  It needs no
-    linear solve and takes tens of milliseconds at n = 14.  The laws are ordered by
-    the smallest state in their class.
-    A tree edge whose rate is not positive and finite in both directions, or
+    The classes are the strongly connected components of the flip graph,
+    whose edges are the nonzero rates (the same for the graph and its
+    transpose, so the generator is labelled as stored, once its stored
+    zeros are dropped); a class is closed when no transition leaves it.
+    Each closed class carries exactly one stationary law, zero outside the
+    class.  Only reversible classes are solved, and every generator
+    `build_generator` makes is reversible, at gamma = +-1 included: within a
+    class the law follows Kolmogorov's spanning-tree construction (Kelly,
+    Reversibility and Stochastic Networks, 1979, section 1.5), p(child) =
+    p(parent) * G[child, parent] / G[parent, child] along a breadth-first
+    tree, summed in logs so rates near 0 at gamma near +-1 lose no
+    precision.  It needs no linear solve.  The laws are ordered by the
+    smallest state in their class.  A tree edge whose rate is not positive and finite in both directions, or
     a law that leaves a residual of G p = 0 or of the normalization above
     1e-8 (as a non-reversible class does), raises numpy.linalg.LinAlgError.
     """
-    g = gen.matrix
+    g = gen.matrix.copy()
+    g.eliminate_zeros()
     _, label = connected_components(g, connection="strong")
     # entry (to, frm) is a transition frm -> to; the classes it leaves are open
     to, frm = g.nonzero()

@@ -109,6 +109,11 @@ def test_nan_temperature_rejected(tmp_path, capsys, command):
     (["--coupling", "1", "--temperature", "1e-200", "--boltzmann", "1e-200"],
      "error: boltzmann * temperature underflows to 0"),
     (["--coupling", "nan", "--temperature", "1"], "error: coupling must be a number"),
+    (["--coupling", "1", "--temperature", "1e308", "--boltzmann", "10"],
+     "error: boltzmann * temperature is not finite"),
+    (["--coupling", "1", "--temperature", "inf"], "error: boltzmann * temperature is not finite"),
+    (["--coupling", "1", "--temperature", "1", "--boltzmann", "inf"],
+     "error: boltzmann * temperature is not finite"),
 ])
 def test_physical_triple_rejected_by_name(tmp_path, capsys, command, flags, message):
     # a k T that underflows to 0 once ended in a ZeroDivisionError traceback,
@@ -116,6 +121,40 @@ def test_physical_triple_rejected_by_name(tmp_path, capsys, command, flags, mess
     out = tmp_path / "x.csv"
     assert main([command, "--n", "3", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("betaj", ["0:1:2", "1:1:1"])
+@pytest.mark.parametrize("flags", [["--temperature", "1e308", "--boltzmann", "10"],
+                                   ["--temperature", "inf"], ["--boltzmann", "inf"]])
+def test_sweep_rejects_non_finite_kt_by_name(tmp_path, capsys, betaj, flags):
+    # the grid's coupling x k T was NaN or inf here, and the run failed on
+    # the coupling or on gamma, neither of which sweep takes
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--sweep-n", "2:2", "--sweep-betaj", betaj, *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: boltzmann * temperature is not finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["thermo", "--n", "3", "--coupling", "1"], "need both --coupling and --temperature"),
+    (["simulate", "--n", "3", "--gamma", "0.5", "--max-steps", "-1"],
+     "--max-steps must be nonnegative"),
+    # fewer than one worker once ran serially and exited 0
+    (["simulate", "--n", "3", "--gamma", "0.5", "--workers", "0"], "--workers must be at least 1"),
+    (["simulate", "--n", "3", "--gamma", "0.5", "--workers", "-3"], "--workers must be at least 1"),
+    (["exact", "--n", "3", "--gamma", "0.5", "--init", "random"],
+     "a random initial tape needs a sampling stream"),
+    (["exact", "--n", "3", "--gamma", "0.5", "--t-steps", "0"], "--t-steps must be at least 1"),
+    (["sweep", "--sweep-n", "3", "--sweep-betaj", "0:1:2"], "--sweep-n expects a:b, got '3'"),
+    (["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1"],
+     "--sweep-betaj expects a:b:steps, got '0:1'"),
+])
+def test_bad_arguments_rejected_by_name(tmp_path, capsys, argv, message):
+    out = tmp_path / "x.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -315,6 +354,19 @@ def test_simulate_uniform_start_halts_immediately(tmp_path):
     assert lines[2] == "1,true,1,0,1"
 
 
+def test_all_down_start(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--n", "4", "--gamma", "1", "--init", "all-down",
+                 "--trajectories", "2", "--out", str(out)]) == 0
+    assert _data_lines(out)[1:] == ["0,true,-1,0,-1", "1,true,-1,0,-1"]
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "2", "--gamma", "1", "--init", "all-down",
+                 "--t-end", "1", "--t-steps", "1", "--out", str(out)]) == 0
+    assert _data_lines(out)[1:] == ["0,0,1", "0,1,0", "0,2,0", "0,3,0",
+                                    "1,0,1", "1,1,0", "1,2,0", "1,3,0"]
+    assert _data_lines(tmp_path / "x.summary.csv")[1:] == ["0,-1", "1,-1"]
+
+
 def test_simulate_budget_zero_never_halts(tmp_path):
     out = tmp_path / "s.csv"
     main(["simulate", "--n", "4", "--gamma", "0.5", "--init", "alternating",
@@ -373,6 +425,24 @@ def test_exact_outputs_distribution_and_summary(tmp_path):
     assert summary[0] == "time,mean_magnetization"
     final_m = float(summary[-1].split(",")[1])
     assert abs(final_m) <= 1e-3
+
+
+def test_exact_summary_path(tmp_path, monkeypatch, capsys):
+    # a path without .csv gets .summary appended; "-" sends both to stdout
+    argv = ["exact", "--n", "1", "--gamma", "0", "--t-end", "1", "--t-steps", "1"]
+    assert main(argv + ["--out", str(tmp_path / "x.dat")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.dat", "x.dat.summary"]
+    assert _data_lines(tmp_path / "x.dat.summary")[0] == "time,mean_magnetization"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(argv + ["--out", "-"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    # the lone periodic cell flips at rate 1/2, so m(t) = e^{-t}
+    assert lines == ["time,state_index,probability", "0,0,0", "0,1,1",
+                     "1,0,0.316060279", "1,1,0.683939721",
+                     "time,mean_magnetization", "0,1", "1,0.367879441"]
+    assert list(cwd.iterdir()) == []
 
 
 def test_exact_long_time_reaches_coin_flip_equilibrium(tmp_path):
@@ -582,6 +652,18 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path):
     assert len(lines) == 1 + 2  # header row plus the overridden count
     header = out.read_text().splitlines()[2]
     assert "gamma=0.5" in header and "n=3" in header and "trajectories=2" in header
+
+
+@pytest.mark.parametrize("value, tokens", [("true", ["--fast"]), ("false", [])])
+def test_config_file_switches(tmp_path, value, tokens):
+    # a true value becomes the bare flag and a false one is left out, so
+    # `verify` is parsed here without being run
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"fast = {value}\n")
+    for config in (["--config", str(cfg)], [f"--config={cfg}"]):
+        argv = cli._apply_config_file(["verify", *config])
+        assert argv == ["verify", *tokens, *config]
+        assert cli.build_parser().parse_args(argv).fast is bool(tokens)
 
 
 def test_config_file_errors(tmp_path):

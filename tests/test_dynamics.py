@@ -333,6 +333,58 @@ def test_stationary_basis_spans_closed_classes(n, gamma, boundary):
     assert np.abs(total - total[::-1]).max() <= 1e-12
 
 
+def _with_stored_zeros(gen, n):
+    """The same operator stored over the full flip pattern, every diagonal
+    and single-flip entry kept, so each zero rate is a stored zero."""
+    dense = gen.matrix.toarray()
+    idx = np.arange(2**n)
+    rows = np.concatenate([idx ^ (1 << i) for i in range(n)] + [idx])
+    cols = np.tile(idx, n + 1)
+    return GeneratorMatrix(sparse.csc_array((dense[rows, cols], (rows, cols)),
+                                            shape=dense.shape))
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_stored_zero_rates_are_no_transitions(boundary):
+    # at gamma = 1 the consensus tapes' zero exit rates, once stored, used to
+    # join them to the rest in one class that then failed as "not reversible"
+    n = 4
+    gen = build_generator(n, ModelParams.from_gamma(1.0, boundary=boundary))
+    stored = _with_stored_zeros(gen, n)
+    assert np.count_nonzero(stored.matrix.data == 0) > 0
+    expected = stationary_distributions(gen)
+    assert [np.flatnonzero(p).tolist() for p in expected] == [[0], [2**n - 1]]
+    laws = stationary_distributions(stored)
+    assert len(laws) == len(expected)
+    for law, want in zip(laws, expected):
+        assert law.tobytes() == want.tobytes()
+    p0 = uniform_distribution(n)
+    assert evolve_exact(p0, stored, 2.0).tobytes() == evolve_exact(p0, gen, 2.0).tobytes()
+
+
+@pytest.mark.parametrize("matrix", [sparse.csc_array((3, 3)),
+                                    sparse.csc_array((np.zeros(3), (range(3), range(3))))])
+def test_operator_no_state_leaves_keeps_its_start(matrix):
+    # Lambda = 0: the kernel is I, and P(t) is P(0) bit for bit at every t
+    gen = GeneratorMatrix(matrix)
+    p0 = np.array([0.2, 0.3, 0.5])
+    times = [0.0, 5e-324, 1.0, 600.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in times:
+            assert evolve_exact(p0, gen, t).tobytes() == p0.tobytes()
+        stepped = list(_stepped(p0, gen, times))
+    assert [p.tobytes() for p in stepped] == [p0.tobytes()] * len(times)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("gamma", [-1.0, 1.0])
+def test_generator_stores_no_zero_rate(gamma, boundary):
+    for n in range(1, 7):
+        gen = build_generator(n, ModelParams.from_gamma(gamma, boundary=boundary))
+        assert np.all(gen.matrix.data != 0)
+
+
 def _flip_four_cycle(forward, back):
     """Generator on the two-cell flip cycle 0 -> 1 -> 3 -> 2 -> 0, with rate
     `forward` along the cycle and `back` against it."""

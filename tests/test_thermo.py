@@ -94,6 +94,8 @@ def test_landauer_gap_values():
 def test_landauer_floor():
     assert landauer_floor(1) == pytest.approx(LN2, rel=1e-15)
     assert landauer_floor(10, 2.0) == pytest.approx(20 * LN2, rel=1e-15)
+    with pytest.raises(ValueError, match="cell count must be nonnegative"):
+        landauer_floor(-1)
 
 
 def test_erasure_energy():
@@ -104,6 +106,8 @@ def test_erasure_energy():
     assert 2.8e-6 <= value <= 2.95e-6
     # energy floor is the entropy floor times temperature
     assert erasure_energy(7, 3.0, 2.0) == pytest.approx(3.0 * landauer_floor(7, 2.0), rel=1e-15)
+    with pytest.raises(ValueError, match="bit count must be nonnegative"):
+        erasure_energy(-1, 300.0)
 
 
 # every public function that takes T or k, with that argument passed through
@@ -151,6 +155,18 @@ def test_nan_coupling_and_vanishing_kt_rejected_by_name(name):
         call(3, 1.0, 1e-200, 1e-200)
     # a product that stays above 0 is accepted, however small
     call(3, 1.0, 1e-200, 1e-100)
+
+
+@pytest.mark.parametrize("temperature, boltzmann", [(1e308, 10.0), (math.inf, 1.0),
+                                                     (1.0, math.inf)])
+@pytest.mark.parametrize("name", list(_COUPLING_CALLS))
+def test_non_finite_kt_rejected_by_name(name, temperature, boltzmann):
+    # k T overflowed to inf, and F came out as inf - inf = nan; T and k are
+    # checked before the coupling, which a sweep forms from them
+    call = _COUPLING_CALLS[name]
+    for coupling in (1.0, math.nan):
+        with pytest.raises(ValueError, match=r"boltzmann \* temperature is not finite"):
+            call(3, coupling, temperature, boltzmann)
 
 
 def test_partition_functions():
