@@ -34,6 +34,10 @@ from .voter import Outcome, TuringVoter
 
 _HEADER_SKIP = {"func", "command", "config", "out", "events", "seed", "workers"}
 
+# the least value of each integer flag, checked by `main` before any command runs
+_INT_FLOOR = {"digits": 0, "seed": 0, "n": 1, "trajectories": 0, "max_steps": 0,
+              "workers": 1, "t_steps": 1}
+
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
@@ -147,14 +151,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         max_steps = math.ceil(args.t_end * n)
     else:
         max_steps = 10_000
-    if max_steps < 0:
-        raise ValueError("--max-steps must be nonnegative")
-    if args.trajectories < 0:
-        raise ValueError("--trajectories must be nonnegative")
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
-    if n < 1:
-        raise ValueError("--n must be at least 1")
     # read once, before any stream or worker exists
     start = "random" if args.init == "random" else _initial_tape(args.init, n, params.boundary)
     want_events = args.events is not None
@@ -195,8 +191,6 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    if args.t_steps < 1:
-        raise ValueError("--t-steps must be at least 1")
     params = _resolve_params(args)
     n = args.n
     # the size and the start are checked before anything of size 2^n is built
@@ -256,6 +250,8 @@ def _parse_betaj_range(text: str) -> np.ndarray:
         raise ValueError(f"--sweep-betaj expects a:b:steps, got {text!r}") from exc
     if count < 1:
         raise ValueError("--sweep-betaj needs at least one point")
+    if not math.isfinite(hi - lo):  # NaN or infinite ends, or a span past float range
+        raise ValueError(f"--sweep-betaj needs a finite range, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -391,14 +387,14 @@ def _is_number(token: str) -> bool:
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Join a negative value to the flag before it (`--t-end -1e3` becomes
-    `--t-end=-1e3`): a token that is a negative number such as `-inf`, or
-    starts with `-` and a digit or a point, such as the range `-3:3:61`.
-    argparse takes these for options and fails with its own `expected one
-    argument` before the value is checked."""
+    `--t-end=-1e3`): a token that starts with `-` and a digit or a point, or
+    whose first `:` field is a negative number, such as `-inf` or the ranges
+    `-3:3:61` and `-inf:0:2`.  argparse takes these for options and fails
+    with its own `expected one argument` before the value is checked."""
     out: list[str] = []
     for token in argv:
         if (out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-")
-                and (token[1:2] in tuple("0123456789.") or _is_number(token))):
+                and (token[1:2] in tuple("0123456789.") or _is_number(token.split(":")[0]))):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -409,10 +405,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(_attach_negative_values(_apply_config_file(argv)))
-        if args.digits < 0:
-            raise ValueError("--digits must be nonnegative")
-        if getattr(args, "seed", 0) < 0:
-            raise ValueError("--seed must be nonnegative")
+        for dest, least in _INT_FLOOR.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                bound = "nonnegative" if least == 0 else f"at least {least}"
+                raise ValueError(f"--{dest.replace('_', '-')} must be {bound}")
         t_end = getattr(args, "t_end", None)
         if t_end is not None:
             if t_end < 0:

@@ -93,11 +93,9 @@ class ModelParams:
         return cls(gamma=math.tanh(2.0 * beta_j), boundary=boundary, beta_j=beta_j)
 
 
-def _beta_j(coupling: float, temperature: float, boltzmann: float) -> float:
-    """x = J/(kT), rejecting by name a T or k that is not positive (NaN
-    included), a product kT that underflows to 0 or is not finite, and a NaN
-    coupling.  T and k are checked first, so a coupling formed from them
-    fails by their name."""
+def _kt(temperature: float, boltzmann: float) -> float:
+    """kT, rejecting by name a T or k that is not positive (NaN included)
+    and a product that underflows to 0 or is not finite."""
     if not temperature > 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     if not boltzmann > 0:
@@ -107,6 +105,12 @@ def _beta_j(coupling: float, temperature: float, boltzmann: float) -> float:
         raise ValueError(f"boltzmann * temperature underflows to 0 at {boltzmann} * {temperature}")
     if kt == math.inf:
         raise ValueError(f"boltzmann * temperature is not finite at {boltzmann} * {temperature}")
+    return kt
+
+
+def _beta_j(coupling: float, temperature: float, boltzmann: float) -> float:
+    """x = J/(kT), checking T and k (`_kt`) before a NaN J, which a sweep forms from them."""
+    kt = _kt(temperature, boltzmann)
     if math.isnan(coupling):
         raise ValueError(f"coupling must be a number, got {coupling}")
     return coupling / kt

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boundary, _beta_j, state_energies
+from .core import Boundary, _beta_j, _kt, state_energies
 
 LN2 = math.log(2.0)
 
@@ -44,7 +44,7 @@ def _log_cosh(x: float) -> float:
 
 def _x(n: int, coupling: float, temperature: float, boltzmann: float) -> float:
     """x = J/(kT) at a point of the closed forms, which need one cell at least."""
-    if n < 1:
+    if not n >= 1:
         raise ValueError(f"need at least one cell, got n={n}")
     return _beta_j(coupling, temperature, boltzmann)
 
@@ -82,10 +82,9 @@ def gibbs_entropy(n: int, coupling: float, temperature: float, boltzmann: float 
 
 def landauer_floor(n: int, boltzmann: float = 1.0) -> float:
     """Information floor n k ln2 for n two-symbol cells."""
-    if n < 0:
+    if not n >= 0:
         raise ValueError("cell count must be nonnegative")
-    if not boltzmann > 0:
-        raise ValueError(f"boltzmann constant must be positive, got {boltzmann}")
+    _kt(1.0, boltzmann)  # k positive and finite
     return n * boltzmann * LN2
 
 
@@ -103,10 +102,9 @@ def landauer_gap(n: int, coupling: float, temperature: float, boltzmann: float =
 
 def erasure_energy(n_bits: float, temperature: float, boltzmann: float = 1.0) -> float:
     """Minimum energy n k T ln2 to erase n_bits two-symbol cells at temperature T."""
-    if n_bits < 0:
+    if not n_bits >= 0:
         raise ValueError("bit count must be nonnegative")
-    if not (temperature > 0 and boltzmann > 0):
-        raise ValueError("temperature and boltzmann constant must be positive")
+    _kt(temperature, boltzmann)
     return n_bits * boltzmann * temperature * LN2
 
 
@@ -124,16 +122,18 @@ class GibbsSummary:
 
 
 def _gibbs_weights(n: int, coupling: float, temperature: float, boltzmann: float,
-                   boundary: Boundary) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """beta, the energies of all 2^n configurations, their minimum, and the
-    weights e^{-beta (E - E_min)}, so the largest weight is 1."""
+                   boundary: Boundary) -> tuple[float, np.ndarray, float, np.ndarray, np.ndarray]:
+    """kT, the 2^n energies, their minimum, the excitations (E - E_min)/kT
+    (inf where kT cannot resolve them) and the weights e^{-(E - E_min)/kT}, largest 1."""
     _x(n, coupling, temperature, boltzmann)  # rejects the point before any enumeration
     if n > BRUTE_FORCE_SITE_CAP:
         raise ValueError(f"enumeration capped at n={BRUTE_FORCE_SITE_CAP}, got {n}")
-    beta = 1.0 / (boltzmann * temperature)
+    kt = boltzmann * temperature
     energies = state_energies(n, coupling, boundary)
-    e_min = energies.min()
-    return beta, energies, e_min, np.exp(-beta * (energies - e_min))
+    e_min = float(energies.min())
+    with np.errstate(over="ignore"):
+        excess = (energies - e_min) / kt
+    return kt, energies, e_min, excess, np.exp(-excess)
 
 
 def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: float = 1.0,
@@ -142,18 +142,16 @@ def gibbs_brute_force(n: int, coupling: float, temperature: float, boltzmann: fl
 
     Satisfies F = U - T S up to roundoff by construction.
     """
-    beta, energies, e_min, weights = _gibbs_weights(n, coupling, temperature, boltzmann,
-                                                    boundary)
+    kt, energies, e_min, excess, weights = _gibbs_weights(n, coupling, temperature, boltzmann,
+                                                          boundary)
     z_shifted = weights.sum()
-    log_z = math.log(z_shifted) - beta * e_min
     p = weights / z_shifted
-    u = float(p @ energies)
-    # -k sum p ln p, with ln p = -beta(E - e_min) - ln z_shifted
-    s = boltzmann * float(p @ (beta * (energies - e_min))) + boltzmann * math.log(z_shifted)
+    # -k sum p ln p over the cells with p > 0, with ln p = -excess - ln z_shifted
+    s = boltzmann * float(p @ np.where(p > 0, excess, 0.0)) + boltzmann * math.log(z_shifted)
     return GibbsSummary(
-        log_partition_function=log_z,
-        free_energy=-boltzmann * temperature * log_z,
-        internal_energy=u,
+        log_partition_function=math.log(z_shifted) - e_min / kt,
+        free_energy=e_min - kt * math.log(z_shifted),
+        internal_energy=float(p @ energies),
         entropy=s,
     )
 

@@ -150,6 +150,11 @@ def test_sweep_rejects_non_finite_kt_by_name(tmp_path, capsys, betaj, flags):
     (["sweep", "--sweep-n", "3", "--sweep-betaj", "0:1:2"], "--sweep-n expects a:b, got '3'"),
     (["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1"],
      "--sweep-betaj expects a:b:steps, got '0:1'"),
+    # a NaN end was reported as a bad coupling, and an infinite one made
+    # linspace warn before the run failed the same way
+    *[(["sweep", "--sweep-n", "1:2", *flag], f"--sweep-betaj needs a finite range, got {text!r}")
+      for text in ("0:nan:3", "0:inf:2", "-inf:0:2", "-1e308:1e308:3")
+      for flag in (["--sweep-betaj", text], [f"--sweep-betaj={text}"])],
 ])
 def test_bad_arguments_rejected_by_name(tmp_path, capsys, argv, message):
     out = tmp_path / "x.csv"
@@ -160,6 +165,48 @@ def test_bad_arguments_rejected_by_name(tmp_path, capsys, argv, message):
 
 def _never(*args):
     raise AssertionError("called before the command's own checks ran")
+
+
+def _subcommands():
+    return next(action for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
+# one valid run of each subcommand, to which a single bad flag is appended
+_RUNS = {
+    "thermo": ["thermo", "--n", "2", "--coupling", "1", "--temperature", "1"],
+    "simulate": ["simulate", "--n", "3", "--gamma", "0.5"],
+    "exact": ["exact", "--n", "3", "--gamma", "0.5"],
+    "verify": ["verify", "--fast"],
+    "sweep": ["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1:2"],
+}
+
+_FLOOR_CASES = [(name, "--" + dest.replace("_", "-"), least)
+                for dest, least in cli._INT_FLOOR.items()
+                for name, sub in _subcommands().items()
+                if "--" + dest.replace("_", "-") in sub._option_string_actions]
+
+
+def test_every_integer_flag_has_a_floor():
+    int_flags = {action.dest for sub in _subcommands().values() for action in sub._actions
+                 if action.type is int}
+    assert int_flags == set(cli._INT_FLOOR)
+    assert len(_FLOOR_CASES) == 15
+
+
+@pytest.mark.parametrize("command, flag, least", _FLOOR_CASES,
+                         ids=[f"{c}{f}" for c, f, _ in _FLOOR_CASES])
+def test_integer_flag_below_its_floor_rejected_first(tmp_path, capsys, monkeypatch,
+                                                     command, flag, least):
+    # thermo --n 0 and exact --n 0 were rejected deeper down, in words that
+    # named no flag
+    for name in ("TuringVoter", "ProcessPoolExecutor", "build_generator", "run_verify"):
+        monkeypatch.setattr(cli, name, _never)
+    out = tmp_path / "x.csv"
+    assert main(_RUNS[command] + [flag, str(least - 1), "--out", str(out)]) == 2
+    bound = "nonnegative" if least == 0 else f"at least {least}"
+    assert capsys.readouterr().err == f"error: {flag} must be {bound}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("init, message", [
@@ -252,8 +299,7 @@ _MODEL = ["--boltzmann", "--boundary", "--coupling", "--gamma", "--n", "--temper
 
 def test_every_subcommand_lists_its_options():
     # each accepted flag changes what its command computes or where it writes
-    subcommands = next(action for action in cli.build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction)).choices
+    subcommands = _subcommands()
     options = {name: sorted(opt for action in sub._actions for opt in action.option_strings
                             if opt not in ("-h", "--help"))
                for name, sub in subcommands.items()}
@@ -546,7 +592,7 @@ def test_negative_end_time_reaches_the_cli_check(tmp_path, capsys, command, t_en
 def test_exact_rejects_oversized_chain(capsys):
     assert main(["exact", "--n", "15", "--gamma", "0.5"]) == 2
     assert main(["exact", "--n", "0", "--gamma", "0.5"]) == 2
-    assert "error: a generator needs at least one cell" in capsys.readouterr().err
+    assert "error: --n must be at least 1" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -159,14 +159,41 @@ def test_nan_coupling_and_vanishing_kt_rejected_by_name(name):
 
 @pytest.mark.parametrize("temperature, boltzmann", [(1e308, 10.0), (math.inf, 1.0),
                                                      (1.0, math.inf)])
-@pytest.mark.parametrize("name", list(_COUPLING_CALLS))
+@pytest.mark.parametrize("name", list(_COUPLING_CALLS) + ["erasure_energy", "landauer_floor"])
 def test_non_finite_kt_rejected_by_name(name, temperature, boltzmann):
-    # k T overflowed to inf, and F came out as inf - inf = nan; T and k are
-    # checked before the coupling, which a sweep forms from them
-    call = _COUPLING_CALLS[name]
-    for coupling in (1.0, math.nan):
+    # k T overflowed to inf, and F came out as inf - inf = nan; erasure_energy
+    # and landauer_floor returned inf.  T and k are checked before the
+    # coupling, which a sweep forms from them
+    if name in _COUPLING_CALLS:
+        calls = [lambda c=c: _COUPLING_CALLS[name](3, c, temperature, boltzmann)
+                 for c in (1.0, math.nan)]
+    elif name == "landauer_floor" and boltzmann < math.inf:
+        # the floor takes no T, so only an infinite k is out of its range
+        assert landauer_floor(3, boltzmann) == 3 * boltzmann * LN2
+        return
+    else:
+        calls = [lambda: _POINT_CALLS[name](temperature, boltzmann)]
+    for call in calls:
         with pytest.raises(ValueError, match=r"boltzmann \* temperature is not finite"):
-            call(3, coupling, temperature, boltzmann)
+            call()
+
+
+# every public function that takes a count of cells or bits, and its message
+_COUNT_CALLS = {
+    **{f.__name__: (lambda n, f=f: f(n, 1.0, 1.0), "need at least one cell")
+       for f in (free_energy, entropy, gibbs_entropy, landauer_gap, gibbs_brute_force,
+                 thermo_report)},
+    "landauer_floor": (landauer_floor, "cell count must be nonnegative"),
+    "erasure_energy": (lambda n: erasure_energy(n, 1.0), "bit count must be nonnegative"),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNT_CALLS))
+def test_nan_count_rejected(name):
+    # `n < 1` and `n < 0` are false for NaN, which went through to a NaN result
+    call, message = _COUNT_CALLS[name]
+    with pytest.raises(ValueError, match=message):
+        call(math.nan)
 
 
 def test_partition_functions():
@@ -302,6 +329,17 @@ def test_thermo_row_at_vanishing_temperature(tmp_path):
     assert row == "3,1,4.94065646e-324,1,1,-2,2,inf,2.07944154,inf"
     rep = thermo_report(3, 1.0, 5e-324)
     assert (rep.free_energy, rep.entropy, rep.gap) == (-2.0, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("temperature", [1e-320, 5e-324])
+def test_gibbs_enumeration_where_one_over_kt_overflows(temperature):
+    # 1/kT was inf here, and inf * 0 made the law and ln Z, F, U, S all NaN
+    p = gibbs_probabilities(3, 1.0, temperature, boundary=Boundary.OPEN)
+    assert p.tolist() == [0.5, 0, 0, 0, 0, 0, 0, 0.5]
+    s = gibbs_brute_force(3, 1.0, temperature)
+    assert (s.internal_energy, s.free_energy) == (-2.0, -2.0)
+    assert s.entropy == pytest.approx(LN2, rel=1e-15)
+    assert s.log_partition_function == math.inf  # ln Z = 2/kT is past float range
 
 
 def test_energies_and_gibbs_law_need_a_boundary():
