@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -148,7 +147,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.max_steps is not None:
         max_steps = args.max_steps
     elif args.t_end is not None:
-        max_steps = math.ceil(args.t_end * n)
+        budget = args.t_end * n
+        if not math.isfinite(budget):
+            raise ValueError(f"--t-end too large: the step budget t_end * n = {args.t_end:g} * {n} "
+                             "overflows")
+        max_steps = math.ceil(budget)
     else:
         max_steps = 10_000
     # read once, before any stream or worker exists
@@ -157,6 +160,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     children = np.random.SeedSequence(args.seed).spawn(args.trajectories)
     payloads = [(start, n, params, max_steps, child, want_events) for child in children]
     if args.workers > 1 and payloads:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, len(payloads) // (args.workers * 8))
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_run_trajectory, payloads, chunksize=chunk))

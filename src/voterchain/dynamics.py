@@ -33,6 +33,10 @@ and the relaxation check do.  The chain's stationary laws are the
 results the machine can settle on: one law per closed class of the flip
 graph, such as the two consensus tapes at gamma = 1 or the two alternating
 tapes of an even ring at gamma = -1, and the single Gibbs law in between.
+
+scipy is imported inside the exact operations that use it, not when the
+module loads, so the samplers run without it and the first exact call in
+a process pays its import.
 """
 
 from __future__ import annotations
@@ -42,12 +46,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .core import Boundary, ModelParams, SpinTape, spin_table, state_energies
+
+if TYPE_CHECKING:  # for the annotations only; the exact operations import it
+    from scipy import sparse
 
 EXACT_SITE_CAP = 14
 
@@ -74,6 +80,8 @@ class GeneratorMatrix:
         stored by rows for fast products.  Every entry of K is nonnegative,
         since no exit rate exceeds Lambda, and every column sums to 1.  An
         operator that no state leaves has Lambda = 0 and K = I."""
+        from scipy import sparse
+
         rate = float(np.abs(self.matrix.diagonal()).max())
         eye = sparse.dia_array((np.ones((1, self.dim)), [0]), shape=(self.dim, self.dim))
         return rate, ((self.matrix / rate if rate else self.matrix) + eye).tocsr()
@@ -173,6 +181,8 @@ def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     rates: each flip's rate and each state's diagonal in one construction,
     with the zero rates at gamma = +-1 dropped."""
     _check_exact_size(n)
+    from scipy import sparse
+
     w = rates(spin_table(n), params)
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
@@ -295,6 +305,8 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     a law that leaves a residual of G p = 0 or of the normalization above
     1e-8 (as a non-reversible class does), raises numpy.linalg.LinAlgError.
     """
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     g = gen.matrix.copy()
     g.eliminate_zeros()
     _, label = connected_components(g, connection="strong")

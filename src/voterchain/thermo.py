@@ -93,9 +93,12 @@ def landauer_gap(n: int, coupling: float, temperature: float, boltzmann: float =
 
     Computed directly as (N-1)[k ln cosh(x) + (J/T) tanh(x)], a sum of two
     nonnegative terms, so the result is >= 0 in exact and floating-point
-    arithmetic alike; zero exactly when n = 1 or J = 0.
+    arithmetic alike; zero exactly when n = 1 or J = 0.  One cell has no
+    bond, so its gap is 0 even where the bond term overflows.
     """
     x = _x(n, coupling, temperature, boltzmann)
+    if n == 1:
+        return 0.0
     exchange = (coupling / temperature) * math.tanh(x)
     return (n - 1) * (boltzmann * _log_cosh(x) + exchange)
 

@@ -1,7 +1,12 @@
 import argparse
+import concurrent.futures
+import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -200,8 +205,9 @@ def test_integer_flag_below_its_floor_rejected_first(tmp_path, capsys, monkeypat
                                                      command, flag, least):
     # thermo --n 0 and exact --n 0 were rejected deeper down, in words that
     # named no flag
-    for name in ("TuringVoter", "ProcessPoolExecutor", "build_generator", "run_verify"):
+    for name in ("TuringVoter", "build_generator", "run_verify"):
         monkeypatch.setattr(cli, name, _never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _never)
     out = tmp_path / "x.csv"
     assert main(_RUNS[command] + [flag, str(least - 1), "--out", str(out)]) == 2
     bound = "nonnegative" if least == 0 else f"at least {least}"
@@ -240,6 +246,17 @@ def test_simulate_rejects_negative_end_time(capsys):
     for t_end in ("inf", "nan"):
         assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", t_end]) == 2
         assert capsys.readouterr().err == "error: --t-end must be finite\n"
+
+
+def test_simulate_rejects_a_step_budget_past_float_range(tmp_path, capsys, monkeypatch):
+    # ceil(t_end * n) of an infinite product ended in an OverflowError traceback
+    monkeypatch.setattr(cli, "TuringVoter", _never)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--n", "10", "--gamma", "0.5", "--t-end", "1e308",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --t-end too large: the step budget t_end * n = 1e+308 * 10 overflows\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("via_config", [False, True])
@@ -734,7 +751,7 @@ def test_simulate_rejects_bad_start_before_sampling(tmp_path, capsys, monkeypatc
                                                     extra, init, message):
     # the start is read once, before any stream is spawned or worker started;
     # with no trajectories it was never read and the run exited 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _never)
     monkeypatch.setattr(cli, "TuringVoter", _never)
     out = tmp_path / "x.csv"
     assert main(["simulate", "--n", "3", "--gamma", "0.5", "--init", init,
@@ -750,3 +767,41 @@ def test_stdout_output(capsys):
     assert "N,J,T,k,gamma,F,U,S,landauer_floor,gap" in captured
     row = [line for line in captured.splitlines() if line.startswith("1,")][0]
     assert float(row.split(",")[7]) == pytest.approx(math.log(2), rel=1e-8)
+
+
+_FOOTPRINT = """
+import json, sys
+import voterchain
+from voterchain import cli
+
+HEAVY = ("scipy", "scipy.sparse", "scipy.sparse.csgraph", "scipy.linalg",
+         "concurrent.futures.process")
+out = sys.argv[1]
+for argv in (["simulate", "--n", "6", "--gamma", "0.5", "--init", "random",
+              "--trajectories", "3", "--max-steps", "200", "--workers", "1",
+              "--events", out + "/events.csv", "--out", out + "/sim.csv"],
+             ["thermo", "--n", "3", "--coupling", "1", "--temperature", "1",
+              "--out", out + "/thermo.csv"],
+             ["sweep", "--sweep-n", "1:3", "--sweep-betaj", "0:1:3", "--out", out + "/sweep.csv"],
+             ["exact", "--n", "3", "--gamma", "0.5", "--out", out + "/exact.csv"]):
+    assert cli.main(argv) == 0, argv
+    print(json.dumps([argv[0], [name for name in HEAVY if name in sys.modules]]))
+"""
+
+
+def test_samplers_and_closed_forms_load_no_scipy(tmp_path):
+    # pytest itself imports scipy.sparse for its warning filter, so the
+    # footprint is read in a fresh interpreter
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-c", _FOOTPRINT, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = dict(json.loads(line) for line in run.stdout.splitlines())
+    assert loaded == {"simulate": [], "thermo": [], "sweep": [],
+                      "exact": ["scipy", "scipy.sparse"]}
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    assert main(["exact", "--n", "3", "--gamma", "0.5", "--out", str(ref / "exact.csv")]) == 0
+    for name in ("exact.csv", "exact.summary.csv"):
+        assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()

@@ -331,6 +331,21 @@ def test_thermo_row_at_vanishing_temperature(tmp_path):
     assert (rep.free_energy, rep.entropy, rep.gap) == (-2.0, math.inf, math.inf)
 
 
+def test_one_cell_gap_where_the_bond_term_overflows(tmp_path):
+    # (N - 1) * inf was 0 * inf, so the gap and S read nan in both commands
+    from voterchain.cli import main
+    for temperature in (1.0, 1e-300):  # the bond term is inf, then x = J/(kT) too
+        assert landauer_gap(1, 1e308, temperature) == 0.0
+        assert entropy(1, 1e308, temperature) == LN2
+    thermo, sweep = tmp_path / "t.csv", tmp_path / "s.csv"
+    assert main(["thermo", "--n", "1", "--coupling", "1e308", "--temperature", "1",
+                 "--out", str(thermo)]) == 0
+    assert main(["sweep", "--sweep-n", "1:1", "--sweep-betaj=1e308:1e308:2",
+                 "--out", str(sweep)]) == 0
+    rows = [thermo.read_text().splitlines()[-1]] + sweep.read_text().splitlines()[-2:]
+    assert rows == ["1,1e+308,1,1,1,-0.693147181,0,0.693147181,0.693147181,0"] * 3
+
+
 @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
 def test_gibbs_enumeration_where_one_over_kt_overflows(temperature):
     # 1/kT was inf here, and inf * 0 made the law and ln Z, F, U, S all NaN
