@@ -209,14 +209,17 @@ def cmd_exact(args: argparse.Namespace) -> int:
     m = magnetization_vector(n)
     d = args.digits
     # one template per time block, filled with (time, probability) per state
-    block = "\n".join(f"%s,{idx},%.{d}g" for idx in range(2**n))
+    block = "%s," + f",%.{d}g\n%s,".join(map(str, range(2**n))) + f",%.{d}g"
     dist_lines = _header(args) + ["time,state_index,probability"]
     summary_lines = _header(args) + ["time,mean_magnetization"]
-    for t, p in zip(times, _stepped(p0, gen, times)):
-        fields = [_fmt(t, d), 0.0] * 2**n
-        fields[1::2] = p.tolist()
-        dist_lines.append(block % tuple(fields))
-        summary_lines.append(f"{_fmt(t, d)},{_fmt(float(m @ p), d)}")
+    try:
+        for t, p in zip(times, _stepped(p0, gen, times)):
+            fields = [_fmt(t, d), 0.0] * 2**n
+            fields[1::2] = p.tolist()
+            dist_lines.append(block % tuple(fields))
+            summary_lines.append(f"{_fmt(t, d)},{_fmt(float(m @ p), d)}")
+    except ValueError as exc:  # a window past the product cap; nothing is written yet
+        raise ValueError(f"--t-end {args.t_end:g} too large: {exc}") from exc
     _write_text(args.out, dist_lines)
     summary_out = _summary_path(args.out)
     _write_text(summary_out, summary_lines)

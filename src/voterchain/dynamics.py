@@ -26,13 +26,17 @@ nonnegative column-stochastic kernel and exp(G t) P = sum_k
 Pois(Lambda t; k) K^k P, a Poisson number of steps of a discrete chain.  At
 Lambda = N, K is the machine's own one-step kernel: pick one of the N sites
 uniformly and flip it with probability w_i.  The Poisson tails left out each
-hold at most 2^-53 of the mass.  A time grid is walked by `_stepped`, which
-reaches each grid time from the one before; an observable such as the mean
-magnetization is read off each P(t) by its caller, as the `exact` command
-and the relaxation check do.  The chain's stationary laws are the
-results the machine can settle on: one law per closed class of the flip
-graph, such as the two consensus tapes at gamma = 1 or the two alternating
-tapes of an even ring at gamma = -1, and the single Gibbs law in between.
+hold at most 2^-53 of the mass, and a window that would take more than 10^8
+kernel products is refused before any is made.  A time grid is walked by
+`_stepped` in groups of times that share one sequence of powers K^k P from
+the last vector reached, so each grid time carries one truncation bound and
+a short grid costs the window of its last time; `evolve_exact` is its
+one-time case.  An observable such as the mean magnetization is read off
+each P(t) by its caller, as the `exact` command and the relaxation check
+do.  The chain's stationary laws are the results the machine can settle
+on: one law per closed class of the flip graph, such as the two consensus
+tapes at gamma = 1 or the two alternating tapes of an even ring at
+gamma = -1, and the single Gibbs law in between.
 
 scipy is imported inside the exact operations that use it, not when the
 module loads, so the samplers run without it and the first exact call in
@@ -56,6 +60,8 @@ if TYPE_CHECKING:  # for the annotations only; the exact operations import it
     from scipy import sparse
 
 EXACT_SITE_CAP = 14
+# the most kernel products one uniformization window may take
+_PRODUCT_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -178,18 +184,21 @@ def _check_exact_size(n: int) -> None:
 
 def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     """Assemble the 2^n x 2^n transition-rate operator from single-site
-    rates: each flip's rate and each state's diagonal in one construction,
-    with the zero rates at gamma = +-1 dropped."""
+    rates.  Column a holds its n flips, to the n distinct states a ^ 2^i,
+    and its diagonal, so the compressed columns are written directly and
+    only each column's rows need sorting; the zero rates at gamma = +-1
+    are dropped."""
     _check_exact_size(n)
     from scipy import sparse
 
     w = rates(spin_table(n), params)
     dim = 2**n
     idx = np.arange(dim, dtype=np.int64)
-    rows = np.concatenate([idx ^ (1 << i) for i in range(n)] + [idx])
-    cols = np.tile(idx, n + 1)
-    data = np.concatenate([w.T.reshape(-1), -w.sum(axis=1)])
-    g = sparse.csc_array((data, (rows, cols)), shape=(dim, dim))
+    rows = np.column_stack([idx ^ (1 << i) for i in range(n)] + [idx])
+    data = np.column_stack([w, -w.sum(axis=1)])
+    indptr = (n + 1) * np.arange(dim + 1, dtype=np.int64)
+    g = sparse.csc_array((data.ravel(), rows.ravel(), indptr), shape=(dim, dim))
+    g.sort_indices()
     g.eliminate_zeros()
     return GeneratorMatrix(g)
 
@@ -242,6 +251,25 @@ def _poisson_window(mean: float) -> tuple[int, np.ndarray]:
     return mode - len(lower), np.array(lower[::-1] + upper) / total
 
 
+def _window(rate: float, dt: float) -> tuple[int, np.ndarray]:
+    """The Poisson window of a step of `dt` time units at uniformization
+    rate `rate`.  A negative, infinite or NaN step is rejected, and so is a
+    window that would end past `_PRODUCT_CAP`; since a window runs past its
+    mode, a mean past the cap is rejected before any weight is formed."""
+    if not 0 <= dt < math.inf:
+        raise ValueError(f"time must be nonnegative and finite, got {dt}")
+    mean = rate * dt
+    if mean <= _PRODUCT_CAP:
+        first, weights = _poisson_window(mean)
+        products = first + weights.size - 1
+    else:  # past the cap, or NaN from a rate that is not finite
+        products = mean
+    if not products <= _PRODUCT_CAP:
+        raise ValueError(f"a step of {dt:g} time units needs at least {products:.4g} kernel "
+                         f"products, over the cap of {_PRODUCT_CAP:.0e}")
+    return first, weights
+
+
 def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     """Propagate P(t) = exp(G t) P(0) by uniformization.
 
@@ -249,41 +277,86 @@ def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     rate and K = I + G/Lambda the one-step kernel of the discrete chain (the
     machine's own kernel when Lambda = N).  The sum runs over the Poisson
     window `_poisson_window` keeps, about Lambda t + O(sqrt(Lambda t))
-    sparse products.  Each dropped tail holds at most 2^-53 of the Poisson
-    mass and every K^k P(0) is a probability vector, so truncation moves no
-    entry by more than 2^-52 in max norm; roundoff in the products adds
-    about 1e-14 at Lambda t = 6000.  Every term is nonnegative, so P(t) is
-    too, and its mass is 1 up to roundoff.  At t = 0, when Lambda t
-    underflows, or when no state can leave (K = I), the window is the one
-    weight 1 and P(t) is a copy of P(0), bit for bit.  A negative, infinite
-    or NaN t is rejected.
+    sparse products; a time whose window would need more than
+    `_PRODUCT_CAP` (10^8) is rejected before any product is made.
+    Each dropped tail holds at most 2^-53 of the Poisson mass and every
+    K^k P(0) is a probability vector, so truncation moves no entry by more
+    than 2^-52 in max norm; roundoff in the products adds about 1e-14 at
+    Lambda t = 6000.  Every term is nonnegative, so P(t) is too, and its
+    mass is 1 up to roundoff.  At t = 0, when Lambda t underflows, or when
+    no state can leave (K = I), the window is the one weight 1 and P(t) is
+    a copy of P(0), bit for bit.  A negative, infinite or NaN t is
+    rejected.  It is the one-time walk of `_stepped`.
     """
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be nonnegative and finite, got {t}")
+    (p,) = _stepped(p0, gen, [t])
+    return p
+
+
+def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
+    """Yield P(t) at each of the ascending `times` by one uniformization walk
+    per group of times.
+
+    A group starts from the last vector reached, P(t_a), which is P(0) at
+    t_a = 0.  It takes each following time whose Poisson window for
+    Lambda (t_j - t_a) still starts at k = 0, and stops adding times once
+    it would hold more times than its walk makes products; a time whose
+    window starts later is a group alone.  The walk forms K^k P(t_a) once,
+    up to the largest window end in the group, and adds each time's
+    weighted terms in the order `evolve_exact` sums them, so each P(t_j) is
+    `evolve_exact(P(t_a), gen, t_j - t_a)` bit for bit and carries one
+    2^-52 truncation bound.  The last vector of a group anchors the next.
+    A grid whose windows all start at k = 0 from t = 0 and that holds no
+    more times than products is one group, read off one walk of about
+    Lambda t_end + O(sqrt(Lambda t_end)) products.  The cap on one window's
+    products holds for each group, and a time that breaks it or steps back
+    is rejected once the times before it are yielded.
+    """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
     rate, kernel = gen._uniformized
-    first, weights = _poisson_window(rate * t)
-    p = p0
-    for _ in range(first):
-        p = kernel @ p
-    out = weights[0] * p
-    for w in weights[1:].tolist():
-        p = kernel @ p
-        out += w * p
-    return out
+    times = [float(t) for t in times]
+    anchor, t_a, i = p0, 0.0, 0
+    while i < len(times):
+        group = [_window(rate, times[i] - t_a)]
+        products = group[0][0] + group[0][1].size - 1
+        while group[0][0] == 0 and i + len(group) < len(times):
+            try:
+                first, weights = _window(rate, times[i + len(group)] - t_a)
+            except ValueError:  # checked again as the head of the next group
+                break
+            end = max(products, first + weights.size - 1)
+            if first > 0 or len(group) >= end:
+                break
+            group.append((first, weights))
+            products = end
+        vectors = _walk(anchor, kernel, group)
+        yield from vectors
+        i += len(group)
+        anchor, t_a = vectors[-1], times[i - 1]
 
 
-def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
-    """Yield P(t) at each of the ascending `times`, reaching each one from the
-    previous one, so the propagated time totals the last time rather than the
-    sum of all of them.  Only the current vector is kept."""
-    p, last = p0, 0.0
-    for t in times:
-        p = evolve_exact(p, gen, t - last)
-        last = t
-        yield p
+def _walk(p: np.ndarray, kernel: sparse.csr_array,
+          group: list[tuple[int, np.ndarray]]) -> list[np.ndarray]:
+    """sum_k w_j(k) K^k p for each window (first_j, w_j) of `group`, in the
+    group's order, from one sequence of products.  Every window of a group
+    of several starts at k = 0.  A window's sum stops taking terms at its
+    last weight."""
+    for _ in range(group[0][0]):
+        p = kernel @ p
+    sums = [weights[0] * p for _, weights in group]
+    # by window length: the windows longer than the one just closed stay open
+    rows = sorted(zip((w.size for _, w in group), sums, (w.tolist() for _, w in group)),
+                  key=lambda row: row[0])
+    done = 1
+    for lo, (length, _, _) in enumerate(rows):
+        live = [(out, weights) for _, out, weights in rows[lo:]]
+        for k in range(done, length):
+            p = kernel @ p
+            for out, weights in live:
+                out += weights[k] * p
+        done = length
+    return sums
 
 
 def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:

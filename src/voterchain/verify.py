@@ -11,6 +11,8 @@ checks never clamp or round in the direction that would hide a failure.
 from __future__ import annotations
 
 import math
+import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,32 +402,49 @@ def check_seed_determinism() -> CheckResult:
     return _result("seed_determinism", 0.0 if ok else 1.0, 0.0)
 
 
+def _run_check(check, *args) -> CheckResult:
+    """Run one check.  A check that raises is a failing row named after it,
+    with a NaN residual and tolerance and a note naming the exception and
+    the file and line that raised it, so the rest of the suite still runs
+    and reports."""
+    try:
+        return check(*args)
+    except Exception as exc:  # any crash fails its own row
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        message = " ".join(str(exc).split())
+        return CheckResult(name=check.__name__.removeprefix("check_"), passed=False,
+                           residual=math.nan, tolerance=math.nan,
+                           detail=f"raised {type(exc).__name__}: {message} "
+                                  f"({os.path.basename(where.filename)}:{where.lineno})")
+
+
 def run_verify(seed: int = 0, fast: bool = False,
                inject_gamma_error: bool = False) -> list[CheckResult]:
     """Run the full suite; `fast` shrinks the sampled checks, and
-    `inject_gamma_error` appends the negative control (which must fail)."""
+    `inject_gamma_error` appends the negative control (which must fail).
+    A check that raises fails its row and the others still run."""
     scale = 5 if fast else 1
-    results = [
-        check_generator_columns(),
-        check_probability_conservation(),
-        check_detailed_balance(),
-        check_gibbs_stationarity(),
-        check_stationary_matches_gibbs(),
-        check_landauer_bound(seed),
-        check_landauer_equality(seed),
-        check_n1_equality(seed),
-        check_closedform_free_energy(),
-        check_closedform_entropy(),
-        check_entropy_derivative(),
-        check_voter_absorbing(),
-        check_magnetization_conserved(),
-        check_consensus_split(seed, 10_000 // scale),
-        check_kmc_vs_exact(seed, 100_000 // scale),
-        check_kmc_poisson(seed, 100_000 // scale),
-        check_relaxation_law(),
-        check_erasure_petabit(),
-        check_seed_determinism(),
+    checks = [
+        (check_generator_columns,),
+        (check_probability_conservation,),
+        (check_detailed_balance,),
+        (check_gibbs_stationarity,),
+        (check_stationary_matches_gibbs,),
+        (check_landauer_bound, seed),
+        (check_landauer_equality, seed),
+        (check_n1_equality, seed),
+        (check_closedform_free_energy,),
+        (check_closedform_entropy,),
+        (check_entropy_derivative,),
+        (check_voter_absorbing,),
+        (check_magnetization_conserved,),
+        (check_consensus_split, seed, 10_000 // scale),
+        (check_kmc_vs_exact, seed, 100_000 // scale),
+        (check_kmc_poisson, seed, 100_000 // scale),
+        (check_relaxation_law,),
+        (check_erasure_petabit,),
+        (check_seed_determinism,),
     ]
     if inject_gamma_error:
-        results.append(check_detailed_balance_injected())
-    return results
+        checks.append((check_detailed_balance_injected,))
+    return [_run_check(*check) for check in checks]

@@ -15,8 +15,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
-from voterchain.core import Boundary, ModelParams, SpinTape
-from voterchain.dynamics import GeneratorMatrix
+from voterchain.core import Boundary, ModelParams, SpinTape, spin_table
+from voterchain.dynamics import GeneratorMatrix, rates
 
 LN2 = math.log(2.0)
 
@@ -60,6 +60,22 @@ def flux_residual_by_sites(w: np.ndarray, energies: np.ndarray) -> float:
         scale = np.maximum(np.maximum(flux_out, flux_back), 1e-300)
         worst = max(worst, float(np.max(np.abs(flux_out - flux_back) / scale)))
     return worst
+
+
+def coo_generator(n: int, params: ModelParams) -> GeneratorMatrix:
+    """The 2^n x 2^n generator assembled from (row, column, rate) triplets:
+    block i holds every state's flip of site i, the last block the
+    diagonals, and scipy sorts the triplets into compressed columns; the
+    zero rates at gamma = +-1 are dropped."""
+    w = rates(spin_table(n), params)
+    dim = 2**n
+    idx = np.arange(dim, dtype=np.int64)
+    rows = np.concatenate([idx ^ (1 << i) for i in range(n)] + [idx])
+    cols = np.tile(idx, n + 1)
+    data = np.concatenate([w.T.reshape(-1), -w.sum(axis=1)])
+    g = sparse.csc_array((data, (rows, cols)), shape=(dim, dim))
+    g.eliminate_zeros()
+    return GeneratorMatrix(g)
 
 
 def hamiltonian(tape: SpinTape, coupling: float) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voterchain import cli
+from voterchain import cli, verify
 from voterchain.cli import main
 from voterchain.core import Boundary, ModelParams, magnetization_vector
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
@@ -582,6 +582,18 @@ def test_exact_rejects_negative_end_time(tmp_path, capsys):
         assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
 
 
+def test_exact_rejects_a_window_past_the_product_cap(tmp_path, capsys):
+    # a step of 1e299 time units would need about 1.75e299 kernel products,
+    # so it is refused before any product and before any file is written
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "3", "--gamma", "0.5", "--t-end", "1e300",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --t-end 1e+300 too large: a step of 1e+299 time units needs at least "
+        "1.75e+299 kernel products, over the cap of 1e+08\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exact_writes_each_propagated_vector_as_given(tmp_path, monkeypatch):
     # the distribution prints the entries of P(t) unchanged, since P(t) is
     # nonnegative by construction, and the summary is m @ P(t) of the same vector
@@ -655,6 +667,35 @@ def test_verify_negative_control(tmp_path, monkeypatch, verify_results):
     # the control is the only failing row, so it alone sets the exit code
     assert [name for name, fields in rows.items() if fields[1] == "fail"] == [
         "detailed_balance_injected"]
+
+
+def test_verify_reports_a_crashing_check(tmp_path, monkeypatch):
+    # a check that raises fails its own row, named after the check, with a
+    # note naming the exception and where it was raised; the others still
+    # run and the report is written
+    def passing(name):
+        return lambda *args: verify.CheckResult(name, True, 0.0, 1.0)
+
+    for name in dir(verify):
+        if name.startswith("check_"):
+            monkeypatch.setattr(verify, name, passing(name.removeprefix("check_")))
+
+    def check_relaxation_law():
+        raise ZeroDivisionError("float division\nby zero")
+
+    raised_at = check_relaxation_law.__code__.co_firstlineno + 1
+
+    monkeypatch.setattr(verify, "check_relaxation_law", check_relaxation_law)
+    out = tmp_path / "v.csv"
+    assert main(["verify", "--fast", "--out", str(out)]) == 1
+    lines = _data_lines(out)
+    rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
+    assert len(rows) == 19
+    assert rows.pop("relaxation_law") == ["fail", "nan", "nan"]
+    assert all(fields[0] == "pass" for fields in rows.values())
+    notes = [line for line in out.read_text().splitlines() if line.startswith("# note")]
+    assert notes == ["# note relaxation_law: raised ZeroDivisionError: float division by zero "
+                     f"(test_cli.py:{raised_at})"]
 
 
 def test_sweep_grid(tmp_path):

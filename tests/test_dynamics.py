@@ -1,15 +1,17 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import (expm_action, flip_rates, flux_residual_by_sites, neighbourhoods,
-                     uniformized_kernel)
+from oracles import (coo_generator, expm_action, flip_rates, flux_residual_by_sites,
+                     neighbourhoods, uniformized_kernel)
 from scipy import sparse
 from scipy.linalg import expm
 
+from voterchain import dynamics
 from voterchain.core import (
     Boundary,
     ModelParams,
@@ -168,6 +170,31 @@ def test_generator_matches_rate_definition():
         for site in range(3):
             assert dense[idx ^ (1 << site), idx] == pytest.approx(
                 rates(tape.symbols, params)[site], abs=1e-15)
+
+
+def _assert_same_assembly(n, params):
+    built, reference = build_generator(n, params).matrix, coo_generator(n, params).matrix
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(built, name), getattr(reference, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert built.has_canonical_format
+    assert np.all(built.data != 0)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("gamma", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_generator_columns_match_triplet_assembly(gamma, boundary):
+    # each column written directly holds exactly what scipy sorts the
+    # (row, column, rate) triplets into, with the same stored zeros dropped
+    for n in range(1, 9):
+        _assert_same_assembly(n, ModelParams.from_gamma(gamma, boundary=boundary))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)))
+def test_generator_columns_match_triplet_assembly_at_any_gamma(n, gamma, boundary):
+    _assert_same_assembly(n, ModelParams.from_gamma(gamma, boundary=boundary))
 
 
 def test_evolve_exact_t0_and_validation():
@@ -535,6 +562,101 @@ def test_stepping_matches_restarts(n, gamma, boundary, uniform, times, data):
     for k, p in zip(order, _stepped(p0, gen, np.asarray(times)[order])):
         assert np.abs(p - restarts[k]).max() <= 1e-12
         assert abs(float(p.sum()) - 1.0) <= 1e-12
+
+
+class _CountingKernel:
+    """Wraps a kernel and counts the products taken with it."""
+
+    def __init__(self, kernel):
+        self.kernel, self.products = kernel, 0
+
+    def __matmul__(self, p):
+        self.products += 1
+        return self.kernel @ p
+
+
+def _count_products(gen):
+    rate, kernel = gen._uniformized
+    counter = _CountingKernel(kernel)
+    gen.__dict__["_uniformized"] = (rate, counter)
+    return counter
+
+
+def test_grid_walk_takes_one_window_of_products():
+    # the benchmark's exact grid: every window from t = 0 starts at k = 0, so
+    # the walk takes the 88 products of the last time's window, not one
+    # window of 41 per interval
+    gen = build_generator(14, ModelParams.from_gamma(0.5))
+    p0 = point_mass(5461, 14)
+    times = np.linspace(0.0, 3.0, 5)
+    counter = _count_products(gen)
+    stepped = list(_stepped(p0, gen, times))
+    assert counter.products == 88
+    for t, p in zip(times, stepped):
+        assert np.array_equal(p, evolve_exact(p0, gen, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)), start_at_zero=st.booleans(),
+       scaled=st.lists(st.floats(0.1, 30.0), max_size=8), data=st.data())
+def test_grid_walk_equals_restarts_bit_for_bit(n, gamma, boundary, start_at_zero, scaled, data):
+    # ascending times with Lambda t in [0.1, 30], after an optional t = 0:
+    # every window starts at k = 0 and ends past the ninth product, so the
+    # grid is one group and each vector is a restart from p0 to the bit
+    gen = build_generator(n, ModelParams.from_gamma(gamma, boundary=boundary))
+    rate = gen._uniformized[0]
+    times = [0.0] * start_at_zero + sorted(u / rate if rate else u for u in scaled)
+    p0 = point_mass(data.draw(st.integers(0, 2**n - 1)), n)
+    stepped = list(_stepped(p0, gen, times))
+    assert len(stepped) == len(times)
+    for t, p in zip(times, stepped):
+        assert np.array_equal(p, evolve_exact(p0, gen, t))
+
+
+@pytest.mark.parametrize("t_end, steps", [(1e-6, 200), (0.5, 400), (40.0, 10), (300.0, 3)])
+def test_grid_walk_groups_hold_no_more_times_than_products(monkeypatch, t_end, steps):
+    # a group of several times has every window start at k = 0 and holds no
+    # more times than its walk makes products, whatever the grid's spacing
+    walk, groups = dynamics._walk, []
+
+    def recording(p, kernel, group):
+        groups.append([(first, weights.size) for first, weights in group])
+        return walk(p, kernel, group)
+
+    monkeypatch.setattr(dynamics, "_walk", recording)
+    gen = build_generator(5, ModelParams.from_gamma(0.5))
+    p0 = point_mass(3, 5)
+    times = np.linspace(0.0, t_end, steps + 1)
+    stepped = list(_stepped(p0, gen, times))
+    assert sum(len(group) for group in groups) == len(stepped) == times.size
+    for group in groups:
+        if len(group) > 1:
+            assert all(first == 0 for first, _ in group)
+            assert len(group) <= max(size - 1 for _, size in group)
+    for t, p in zip(times, stepped):
+        assert np.abs(p - evolve_exact(p0, gen, t)).max() <= 1e-12
+
+
+def test_exact_rejects_a_window_past_the_product_cap():
+    # the window at Lambda t = 1e8 ends past the cap of 10^8 products, and
+    # the one at Lambda t = 1.75e300 is refused before its weights are
+    # formed (their recurrence would never end there); Lambda = 1.75
+    gen = build_generator(3, ModelParams.from_gamma(0.5))
+    assert gen._uniformized[0] == 1.75
+    counter = _count_products(gen)
+    p0 = point_mass(5, 3)
+    for t, count in ((1e8 / 1.75, "1.001e+08"), (1e300, "1.75e+300")):
+        with pytest.raises(ValueError, match=f"needs at least {re.escape(count)} kernel products"):
+            evolve_exact(p0, gen, t)
+    # the walk yields the times before the one it refuses, then raises
+    stepped = _stepped(p0, gen, [0.0, 1.0, 1e300])
+    assert np.array_equal(next(stepped), p0)
+    assert np.array_equal(next(stepped), evolve_exact(p0, gen, 1.0))
+    products = counter.products
+    with pytest.raises(ValueError, match="over the cap of 1e\\+08"):
+        next(stepped)
+    assert counter.products == products
 
 
 def test_relaxation_rate_tracks_gamma():
