@@ -23,7 +23,6 @@ from .dynamics import (
     GeneratorMatrix,
     Trajectory,
     build_generator,
-    detailed_balance_residual,
     evolve_exact,
     kmc_sample,
     rates,
@@ -56,7 +55,6 @@ __all__ = [
     "__version__",
     "build_generator",
     "decode_state",
-    "detailed_balance_residual",
     "encode_state",
     "entropy",
     "erasure_energy",

@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -66,12 +67,13 @@ def _header(args: argparse.Namespace) -> list[str]:
 
 
 def _write_text(path: str, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write each line and its newline to `path`, or to stdout for "-", one
+    line at a time, so no copy of the whole output is held beside the lines."""
+    with nullcontext(sys.stdout) if path == "-" else open(
+            path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _resolve_params(args: argparse.Namespace) -> ModelParams:

@@ -3,10 +3,11 @@
 A tape of N cells with symbols in {-1, +1} is simultaneously the working
 tape of the stochastic machine and a spin configuration of a 1D chain; its
 symbols are a tuple of Python ints.  The machine's bias is Glauber's
-gamma = tanh(2J/kT), and `ModelParams` keeps of the physics only
-beta_j = J/(kT), the one number the Gibbs weights need.  Configurations are
-enumerated by an integer index where bit i holds (symbol[i] + 1) / 2, site 0
-in the least-significant bit.
+gamma = tanh(2J/kT), and `ModelParams` keeps only what the flip rule reads,
+gamma and the boundary; a caller that forms the Gibbs energies passes its own
+J/(kT) to `state_energies`.  Configurations are enumerated by an integer
+index where bit i holds (symbol[i] + 1) / 2, site 0 in the least-significant
+bit.
 """
 
 from __future__ import annotations
@@ -63,24 +64,16 @@ class SpinTape:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Dynamics parameters: a bias gamma in [-1, 1], optionally tied to the
-    dimensionless coupling beta_j = J/(kT) via Glauber's gamma = tanh(2 beta_j).
+    """The flip rule's inputs: a bias gamma in [-1, 1] and the boundary.
     The chain has no external field, in its dynamics and in its energies alike.
     """
 
     gamma: float
     boundary: Boundary = Boundary.PERIODIC
-    beta_j: float | None = None
 
     def __post_init__(self):
         if not abs(self.gamma) <= 1.0:
             raise ValueError(f"|gamma| must be <= 1, got {self.gamma}")
-        if self.beta_j is not None:
-            expected = math.tanh(2.0 * self.beta_j)
-            if not abs(self.gamma - expected) <= 1e-14:
-                raise ValueError(
-                    f"gamma={self.gamma} inconsistent with tanh(2 beta_j)={expected}"
-                )
 
     @classmethod
     def from_gamma(cls, gamma: float, boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
@@ -89,8 +82,10 @@ class ModelParams:
     @classmethod
     def from_physical(cls, coupling: float, temperature: float, boltzmann: float = 1.0,
                       boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
-        beta_j = _beta_j(coupling, temperature, boltzmann)
-        return cls(gamma=math.tanh(2.0 * beta_j), boundary=boundary, beta_j=beta_j)
+        """Glauber's gamma = tanh(2J/(kT)), with T, k and J checked as the
+        closed forms check them; J/(kT) itself is not kept."""
+        return cls(gamma=math.tanh(2.0 * _beta_j(coupling, temperature, boltzmann)),
+                   boundary=boundary)
 
 
 def _kt(temperature: float, boltzmann: float) -> float:

@@ -345,17 +345,11 @@ def _walk(p: np.ndarray, kernel: sparse.csr_array,
     for _ in range(group[0][0]):
         p = kernel @ p
     sums = [weights[0] * p for _, weights in group]
-    # by window length: the windows longer than the one just closed stay open
-    rows = sorted(zip((w.size for _, w in group), sums, (w.tolist() for _, w in group)),
-                  key=lambda row: row[0])
-    done = 1
-    for lo, (length, _, _) in enumerate(rows):
-        live = [(out, weights) for _, out, weights in rows[lo:]]
-        for k in range(done, length):
-            p = kernel @ p
-            for out, weights in live:
+    for k in range(1, max(weights.size for _, weights in group)):
+        p = kernel @ p
+        for out, (_, weights) in zip(sums, group):
+            if k < weights.size:
                 out += weights[k] * p
-        done = length
     return sums
 
 
@@ -438,13 +432,14 @@ def flux_residual(gen: GeneratorMatrix, energies: np.ndarray) -> float:
 
 def detailed_balance_residual(n: int, params: ModelParams) -> float:
     """Worst single-flip flux imbalance of the chain's generator against the
-    Gibbs weights of its own Hamiltonian.  Requires `params.beta_j` = J/(kT):
-    the weights e^{-E/kT} are those of the energies at coupling beta_j.
+    Gibbs weights e^{-E/kT} at the coupling its gamma encodes, J/(kT) =
+    artanh(gamma)/2.  At gamma = +-1 that coupling is infinite and no finite
+    weights balance the rates, so such params are rejected.
     """
-    if params.beta_j is None:
-        raise ValueError("no beta_j set, detailed balance needs J/(kT)")
+    if not abs(params.gamma) < 1.0:
+        raise ValueError(f"gamma = {params.gamma} encodes no finite J/(kT)")
     return flux_residual(build_generator(n, params),
-                         state_energies(n, params.beta_j, params.boundary))
+                         state_energies(n, 0.5 * math.atanh(params.gamma), params.boundary))
 
 
 def kmc_sample(tape0: SpinTape, params: ModelParams, t_end: float,

@@ -51,9 +51,13 @@ def _x(n: int, coupling: float, temperature: float, boltzmann: float) -> float:
 
 def free_energy(n: int, coupling: float, temperature: float, boltzmann: float = 1.0) -> float:
     """Open-chain equilibrium free energy -kT [N ln2 + (N-1) ln cosh(J/kT)],
-    with kT |x| written as |J|, so F reaches its limit -(N-1)|J| as T -> 0."""
+    with kT |x| written as |J|, so F reaches its limit -(N-1)|J| as T -> 0.
+    One cell has no bond, so its F is -kT ln2 even where the bond term
+    overflows."""
     x = _x(n, coupling, temperature, boltzmann)
     kt = boltzmann * temperature
+    if n == 1:
+        return -kt * LN2
     bond = abs(coupling) + kt * math.log1p(math.exp(-2.0 * abs(x))) - kt * LN2
     return -(n * kt * LN2 + (n - 1) * bond)
 
@@ -187,7 +191,9 @@ def thermo_report(n: int, coupling: float, temperature: float, boltzmann: float 
     """Evaluate the closed forms at one parameter point."""
     f = free_energy(n, coupling, temperature, boltzmann)
     s = entropy(n, coupling, temperature, boltzmann)
-    u = (n - 1) * coupling * math.tanh(_x(n, coupling, temperature, boltzmann))
+    # one cell has no bond, so U = 0 even at an infinite J
+    x = _x(n, coupling, temperature, boltzmann)
+    u = 0.0 if n == 1 else (n - 1) * coupling * math.tanh(x)
     return ThermoReport(
         free_energy=f,
         internal_energy=u,

@@ -846,3 +846,32 @@ def test_samplers_and_closed_forms_load_no_scipy(tmp_path):
     assert main(["exact", "--n", "3", "--gamma", "0.5", "--out", str(ref / "exact.csv")]) == 0
     for name in ("exact.csv", "exact.summary.csv"):
         assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()
+
+
+_PEAK_RSS = """
+import resource, sys
+from voterchain import cli
+assert cli.main(sys.argv[1:]) == 0
+# ru_maxrss counts kilobytes on Linux and bytes on macOS
+unit = 1 if sys.platform == "darwin" else 1024
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * unit)
+"""
+
+
+def test_exact_output_is_written_without_a_copy_of_it(tmp_path):
+    # a writer that joins the lines holds them about three times (the list,
+    # the joined text, its encoded bytes); written a line at a time, 200 grid
+    # times raise the peak over a single time by at most about one file size
+    src = Path(__file__).resolve().parents[1] / "src"
+    peak = {}
+    for steps in (1, 200):
+        out = tmp_path / f"dist{steps}.csv"
+        run = subprocess.run([sys.executable, "-c", _PEAK_RSS, "exact", "--n", "12",
+                              "--gamma", "0.5", "--t-end", "0.5", "--init", "index:5",
+                              "--t-steps", str(steps), "--out", str(out)],
+                             env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        peak[steps] = int(run.stdout)
+    size = (tmp_path / "dist200.csv").stat().st_size
+    assert peak[200] - peak[1] < 1.5 * size, (peak, size)

@@ -16,7 +16,6 @@ from voterchain.core import (
     spin_table,
     state_energies,
 )
-from voterchain.dynamics import detailed_balance_residual
 
 TANH1 = 0.7615941559557649
 TANH2 = 0.9640275800758169
@@ -170,16 +169,10 @@ def test_params_gamma_range():
 def test_params_from_physical():
     p = ModelParams.from_physical(1.0, 2.0)
     assert p.gamma == pytest.approx(TANH1, abs=1e-15)
-    assert p.beta_j == 0.5
+    # the flip rule's inputs are all it keeps
+    assert p == ModelParams(gamma=math.tanh(1.0))
     q = ModelParams.from_physical(1.0, 1.0)
     assert q.gamma == pytest.approx(TANH2, abs=1e-15)
-
-
-def test_params_gamma_must_match_triple():
-    assert ModelParams(gamma=TANH2, beta_j=1.0).beta_j == 1.0
-    for beta_j in (1.0, math.nan):
-        with pytest.raises(ValueError, match="inconsistent"):
-            ModelParams(gamma=0.5, beta_j=beta_j)
 
 
 def test_params_positivity():
@@ -187,13 +180,6 @@ def test_params_positivity():
         ModelParams.from_physical(1.0, -1.0)
     with pytest.raises(ValueError):
         ModelParams.from_physical(1.0, 1.0, boltzmann=0.0)
-
-
-def test_params_beta_needs_triple():
-    params = ModelParams.from_gamma(0.5)
-    assert params.beta_j is None
-    with pytest.raises(ValueError, match="beta_j"):
-        detailed_balance_residual(3, params)
 
 
 def test_gamma_saturates_at_strong_coupling():

@@ -11,7 +11,7 @@ from oracles import (coo_generator, expm_action, flip_rates, flux_residual_by_si
 from scipy import sparse
 from scipy.linalg import expm
 
-from voterchain import dynamics
+from voterchain import dynamics, verify
 from voterchain.core import (
     Boundary,
     ModelParams,
@@ -41,7 +41,7 @@ from voterchain.dynamics import (
     uniform_distribution,
 )
 from voterchain.thermo import gibbs_probabilities
-from voterchain.verify import poisson_z
+from voterchain.verify import check_detailed_balance, poisson_z
 
 
 def test_rates_unbiased_coin():
@@ -135,9 +135,11 @@ def test_refresh_after_flips_matches_rates(n, gamma, boundary, data):
 @given(n=st.integers(1, 8), beta_j=st.floats(-2.0, 2.0), temperature=st.floats(0.25, 4.0),
        boltzmann=st.floats(0.5, 2.0), boundary=st.sampled_from(list(Boundary)))
 def test_flux_balances_at_physical_gamma(n, beta_j, temperature, boltzmann, boundary):
-    params = ModelParams.from_physical(beta_j * boltzmann * temperature, temperature,
-                                       boltzmann, boundary=boundary)
-    assert detailed_balance_residual(n, params) <= 1e-12
+    coupling = beta_j * boltzmann * temperature
+    params = ModelParams.from_physical(coupling, temperature, boltzmann, boundary=boundary)
+    # the Gibbs energies at J/(kT) as from_physical forms it
+    energies = state_energies(n, coupling / (boltzmann * temperature), boundary)
+    assert flux_residual(build_generator(n, params), energies) <= 1e-12
 
 
 def test_site_cap():
@@ -441,13 +443,30 @@ def test_detailed_balance_residual_small():
         for bj in (-2.0, -0.5, 0.5, 1.0, 2.0):
             for boundary in (Boundary.PERIODIC, Boundary.OPEN):
                 params = ModelParams.from_physical(bj, 1.0, boundary=boundary)
-                worst = max(worst, detailed_balance_residual(n, params))
+                # from_physical(bj, 1.0) forms J/(kT) = bj / 1.0 = bj exactly
+                energies = state_energies(n, bj, boundary)
+                worst = max(worst, flux_residual(build_generator(n, params), energies))
     assert worst <= 1e-12
 
 
-def test_detailed_balance_needs_triple():
-    with pytest.raises(ValueError):
-        detailed_balance_residual(3, ModelParams.from_gamma(0.5))
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_detailed_balance_residual_reads_the_coupling_gamma_encodes(boundary):
+    # the weights are those at J/(kT) = artanh(gamma)/2, so params built
+    # from gamma alone balance too; gamma = +-1 encodes no finite coupling
+    for gamma in (-0.99, -0.3, 0.0, 0.5, 0.999):
+        params = ModelParams.from_gamma(gamma, boundary=boundary)
+        assert detailed_balance_residual(5, params) <= 1e-12
+    for gamma in (-1.0, 1.0):
+        with pytest.raises(ValueError, match="no finite"):
+            detailed_balance_residual(5, ModelParams.from_gamma(gamma, boundary=boundary))
+
+
+def test_detailed_balance_check_fails_off_the_gibbs_energies(monkeypatch):
+    # the verify row forms its own energies, so a coupling 0.1% off fails it
+    energies = verify.state_energies
+    monkeypatch.setattr(verify, "state_energies",
+                        lambda n, coupling, boundary: energies(n, 1.001 * coupling, boundary))
+    assert not check_detailed_balance().passed
 
 
 def test_flux_residual_detects_mismatch():
@@ -502,7 +521,7 @@ def _rotation_lumped(gen, n):
 @pytest.mark.parametrize("gamma, beta_j", [(math.tanh(1.4), 0.7), (1.0, None)])
 def test_exact_operations_run_on_a_lumped_ring(gamma, beta_j):
     # n = 2 ring: orbits {00}, {01, 10}, {11}, so the operator is 3 x 3
-    params = ModelParams(gamma=gamma, beta_j=beta_j)
+    params = ModelParams(gamma=gamma)
     gen = build_generator(2, params)
     lumped, member = _rotation_lumped(gen, 2)
     assert lumped.dim == 3

@@ -344,6 +344,19 @@ def test_one_cell_gap_where_the_bond_term_overflows(tmp_path):
                  "--out", str(sweep)]) == 0
     rows = [thermo.read_text().splitlines()[-1]] + sweep.read_text().splitlines()[-2:]
     assert rows == ["1,1e+308,1,1,1,-0.693147181,0,0.693147181,0.693147181,0"] * 3
+    # at J = +-inf, (N - 1) * bond made F and U nan too; a lone cell has no
+    # bond, so F = -kT ln2 and U = 0, while N = 2 keeps its limits
+    for coupling, gamma in (("inf", "1"), ("-inf", "-1")):
+        assert main(["thermo", "--n", "1", "--coupling", coupling, "--temperature", "1",
+                     "--out", str(thermo)]) == 0
+        assert thermo.read_text().splitlines()[-1] == (
+            f"1,{coupling},1,1,{gamma},-0.693147181,0,0.693147181,0.693147181,0")
+    # J = x k T overflows to inf
+    assert main(["sweep", "--sweep-n", "1:2", "--sweep-betaj=1e10:1e10:1",
+                 "--temperature", "1e300", "--out", str(sweep)]) == 0
+    assert sweep.read_text().splitlines()[-2:] == [
+        "1,inf,1e+300,1,1,-6.93147181e+299,0,0.693147181,0.693147181,0",
+        "2,inf,1e+300,1,1,-inf,inf,inf,1.38629436,inf"]
 
 
 @pytest.mark.parametrize("temperature", [1e-320, 5e-324])
