@@ -179,12 +179,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if want_events:
         # event time is step / N; the magnetization is carried from the start tape
         ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
+        # one template per row, the `%g` of `_fmt` for time and magnetization
+        row = f"%.{d}g,%d,%d,%.{d}g"
         for i, (msum, out) in enumerate(results):
             ev_lines.append(f"# trajectory {i}")
             # one list per column: three objects instead of one per flip
             for step, site, sym in zip(*out.flips.T.tolist()):
                 msum += 2 * sym
-                ev_lines.append(f"{_fmt(step / n, d)},{site},{sym},{_fmt(msum / n, d)}")
+                ev_lines.append(row % (step / n, site, sym, msum / n))
         _write_text(args.events, ev_lines)
     return 0
 

@@ -3,9 +3,10 @@
 A tape of N cells with symbols in {-1, +1} is simultaneously the working
 tape of the stochastic machine and a spin configuration of a 1D chain; its
 symbols are a tuple of Python ints.  The machine's bias is Glauber's
-gamma = tanh(2J/kT), and `ModelParams` keeps only what the flip rule reads,
-gamma and the boundary; a caller that forms the Gibbs energies passes its own
-J/(kT) to `state_energies`.  Configurations are enumerated by an integer
+gamma = tanh(2J/kT), and `ModelParams` keeps only what the flip rule reads:
+gamma, the boundary and, on an open chain, the end cells' bond factor
+tanh(J/kT); a caller that forms the Gibbs energies passes its own J/(kT) to
+`state_energies`.  Configurations are enumerated by an integer
 index where bit i holds (symbol[i] + 1) / 2, site 0 in the least-significant
 bit.
 """
@@ -13,7 +14,7 @@ bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -64,16 +65,26 @@ class SpinTape:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The flip rule's inputs: a bias gamma in [-1, 1] and the boundary.
-    The chain has no external field, in its dynamics and in its energies alike.
+    """The flip rule's inputs: a bias gamma in [-1, 1], the boundary and, on
+    an open chain, `end`, the factor tanh(J/kT) by which each end cell weighs
+    its one bond (None on a ring).  Built from gamma, `end` is
+    gamma / (1 + sqrt(1 - gamma^2)), which is 1 at gamma = 1.  Next to
+    |gamma| = 1 the rounding of gamma decides 1 - |end|, and with it the end
+    cells' small rates (by 1.6% at |J/kT| = 8.8, and to 0 where gamma
+    rounds to +-1), so `from_physical` forms `end` from J/(kT) itself.  The chain has
+    no external field, in its dynamics and in its energies alike.
     """
 
     gamma: float
     boundary: Boundary = Boundary.PERIODIC
+    end: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not abs(self.gamma) <= 1.0:
             raise ValueError(f"|gamma| must be <= 1, got {self.gamma}")
+        if self.boundary is Boundary.OPEN:
+            g = self.gamma
+            object.__setattr__(self, "end", g / (1.0 + math.sqrt(1.0 - g * g)))
 
     @classmethod
     def from_gamma(cls, gamma: float, boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
@@ -82,10 +93,14 @@ class ModelParams:
     @classmethod
     def from_physical(cls, coupling: float, temperature: float, boltzmann: float = 1.0,
                       boundary: Boundary = Boundary.PERIODIC) -> ModelParams:
-        """Glauber's gamma = tanh(2J/(kT)), with T, k and J checked as the
-        closed forms check them; J/(kT) itself is not kept."""
-        return cls(gamma=math.tanh(2.0 * _beta_j(coupling, temperature, boltzmann)),
-                   boundary=boundary)
+        """Glauber's gamma = tanh(2J/(kT)) and, on an open chain, the end
+        factor tanh(J/kT), with T, k and J checked as the closed forms check
+        them; J/(kT) itself is not kept."""
+        x = _beta_j(coupling, temperature, boltzmann)
+        params = cls(gamma=math.tanh(2.0 * x), boundary=boundary)
+        if boundary is Boundary.OPEN:
+            object.__setattr__(params, "end", math.tanh(x))
+        return params
 
 
 def _kt(temperature: float, boltzmann: float) -> float:

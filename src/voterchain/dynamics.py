@@ -7,9 +7,10 @@ The chain evolves by single-site flips at rate
 (periodic sites and open-chain interior sites).  Open-chain endpoints have
 one neighbor, and the two-neighbor rule applied literally there breaks
 detailed balance; the endpoint rate is instead 1/2 [1 - s_i s_nbr tanh(J/kT)],
-which balances the single bond.  The tanh factor is computed from gamma alone
-as gamma / (1 + sqrt(1 - gamma^2)), so it needs no physical triple and equals
-1 at gamma = 1 (uniform tapes stay absorbing on open chains).  A single
+which balances the single bond.  The tanh factor is `ModelParams.end`: from
+gamma alone it is gamma / (1 + sqrt(1 - gamma^2)), so it needs no physical
+triple and equals 1 at gamma = 1 (uniform tapes stay absorbing on open
+chains), and from the physical triple it is tanh(J/kT) itself.  A single
 periodic cell is its own left and right neighbor, giving w = (1 - gamma)/2;
 a single open cell has no neighbors and rate 1/2.  The rule is written once,
 in `_rate_lookup`, as a table of each site's rate by its neighbourhood code
@@ -115,7 +116,7 @@ def rates(spins, params: ModelParams) -> np.ndarray:
     b = np.asarray(spins) > 0
     codes = 4 * np.roll(b, 1, axis=-1) + 2 * b + np.roll(b, -1, axis=-1)
     n = b.shape[-1]
-    table = np.array(_rate_lookup(n, params.gamma, params.boundary is Boundary.OPEN))
+    table = np.array(_rate_lookup(n, params.gamma, params.end))
     return table[np.arange(n), codes]
 
 
@@ -127,21 +128,19 @@ def _neighbourhood_codes(symbols: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=32)
-def _rate_lookup(n: int, gamma: float, is_open: bool) -> tuple[tuple[float, ...], ...]:
+def _rate_lookup(n: int, gamma: float, end: float | None) -> tuple[tuple[float, ...], ...]:
     """The flip rule: each site's rate 1/2 [1 - coef c (l + r)] by its code,
-    coef = gamma/2.  An open chain's end counts its missing neighbour 0 and
-    weighs its one bond by tanh(J/kT), written through gamma = tanh(2J/kT)
-    as gamma / (1 + sqrt(1 - gamma^2)) so it reaches 1 at gamma = 1.  Sites
-    with equal rules share one row."""
+    coef = gamma/2.  An open chain, whose `end` is not None, counts an end's
+    missing neighbour 0 and weighs its one bond by `end` = tanh(J/kT), as
+    `ModelParams` forms it.  Sites with equal rules share one row."""
     def row(coef: float, left: bool, right: bool) -> tuple[float, ...]:
         # product runs over the (l, c, r) symbols in code order 4 l + 2 c + r
         return tuple(0.5 * (1.0 - coef * c * (l * left + r * right))
                      for l, c, r in product((-1, 1), repeat=3))
 
     inner = row(0.5 * gamma, True, True)
-    if not is_open:
+    if end is None:
         return (inner,) * n
-    end = gamma / (1.0 + math.sqrt(1.0 - gamma * gamma))
     if n == 1:
         return (row(end, False, False),)
     return (row(end, False, True),) + (inner,) * (n - 2) + (row(end, True, False),)
@@ -157,7 +156,7 @@ def _live_rates(tape: SpinTape, params: ModelParams
         raise ValueError("tape and params boundary conditions disagree")
     symbols = list(tape.symbols)
     codes = _neighbourhood_codes(symbols)
-    table = _rate_lookup(len(symbols), params.gamma, params.boundary is Boundary.OPEN)
+    table = _rate_lookup(len(symbols), params.gamma, params.end)
     return symbols, [row[c] for row, c in zip(table, codes)], codes, table
 
 
@@ -367,12 +366,22 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     Reversibility and Stochastic Networks, 1979, section 1.5), p(child) =
     p(parent) * G[child, parent] / G[parent, child] along a breadth-first
     tree, summed in logs so rates near 0 at gamma near +-1 lose no
-    precision.  It needs no linear solve.  The laws are ordered by the
-    smallest state in their class.  A tree edge whose rate is not positive and finite in both directions, or
-    a law that leaves a residual of G p = 0 or of the normalization above
-    1e-8 (as a non-reversible class does), raises numpy.linalg.LinAlgError.
+    precision.  A rate holds its rounding as an absolute error, so a ratio
+    is as precise as the slower rate of its pair.  The tree is therefore
+    searched only among the pairs no slower than the slowest pair that a
+    maximum spanning tree of the slower rates needs: an open chain near
+    |gamma| = 1 leaves its consensus tapes through its end cells, not
+    through interior pairs at rates of 1e-16, whose ratios carry percent
+    errors.  On a ring every pair passes, so its tree is the plain
+    breadth-first one.  It needs no linear solve.  The laws are ordered by
+    the smallest state in their class.  A class that no tree of pairs with
+    rates positive and finite both ways spans, or a law that leaves a
+    residual of G p = 0 or of the normalization above 1e-8 (as a
+    non-reversible class does), raises numpy.linalg.LinAlgError.
     """
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy import sparse
+    from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                      minimum_spanning_tree)
 
     g = gen.matrix.copy()
     g.eliminate_zeros()
@@ -387,15 +396,26 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
         g_c = g[members][:, members]
         log_p = np.zeros(members.size)
         if members.size > 1:  # a lone state's law is 1; its tree has no edges
-            order, pred = breadth_first_order(g_c, 0, return_predecessors=True)
+            pairs = g_c.tocoo()
+            row, col = pairs.row, pairs.col
+            slow = np.minimum(pairs.data, g_c[col, row])  # 0 where a rate is one-way
+            two_way = (row != col) & (0 < slow) & (slow < math.inf)
+            row, col, slow = row[two_way], col[two_way], slow[two_way]
+            # a weight falling with the slower rate: the minimum spanning
+            # tree of the weights is a maximum one of the rates
+            weight = sparse.csr_array((1.0 + np.log(slow.max(initial=1.0)) - np.log(slow),
+                                       (row, col)), shape=g_c.shape)
+            bottleneck = minimum_spanning_tree(weight).data.max(initial=0.0)
+            weight.data[weight.data > bottleneck] = 0.0
+            weight.eliminate_zeros()
+            order, pred = breadth_first_order(weight, 0, return_predecessors=True)
+            if order.size < members.size:
+                raise np.linalg.LinAlgError(
+                    f"no tree of pairs with a positive finite rate both ways spans "
+                    f"a class of {members.size} states, so it is not reversible")
             child = order[1:]
             up = pred[child]
             into, back = g_c[child, up], g_c[up, child]
-            both = np.concatenate([into, back])
-            if not np.all((0 < both) & (both < math.inf)):
-                raise np.linalg.LinAlgError(
-                    f"a class of {members.size} states has a tree edge without "
-                    "a positive finite rate both ways, so it is not reversible")
             for c, u, step in zip(child.tolist(), up.tolist(),
                                   (np.log(into) - np.log(back)).tolist()):
                 log_p[c] = log_p[u] + step

@@ -143,12 +143,14 @@ def check_probability_conservation() -> CheckResult:
 
 
 def check_detailed_balance() -> CheckResult:
-    """Flip fluxes balance the Gibbs weights when gamma = tanh(2J/kT)."""
+    """Flip fluxes balance the Gibbs weights when gamma = tanh(2J/kT), on
+    rings and open chains."""
     worst = 0.0
-    for n in range(2, 11):
-        for bj in (-2.0, -0.5, 0.5, 1.0, 2.0):
-            gen = build_generator(n, ModelParams.from_physical(bj, 1.0))
-            worst = max(worst, flux_residual(gen, state_energies(n, bj, Boundary.PERIODIC)))
+    for boundary in Boundary:
+        for n in range(2, 11):
+            for bj in (-2.0, -0.5, 0.5, 1.0, 2.0):
+                gen = build_generator(n, ModelParams.from_physical(bj, 1.0, boundary=boundary))
+                worst = max(worst, flux_residual(gen, state_energies(n, bj, boundary)))
     return _result("detailed_balance", worst, 1e-12)
 
 
@@ -164,31 +166,33 @@ def check_detailed_balance_injected() -> CheckResult:
 
 
 def check_gibbs_stationarity() -> CheckResult:
-    """G annihilates the Gibbs distribution of the chain's Hamiltonian."""
+    """G annihilates the Gibbs distribution of the chain's Hamiltonian, on
+    rings and open chains."""
     worst = 0.0
-    for n in (2, 3, 5, 8):
-        for bj in (-2.0, -0.5, 0.5, 1.0, 2.0):
-            params = ModelParams.from_physical(bj, 1.0)
-            gen = build_generator(n, params)
-            p = gibbs_probabilities(n, bj, 1.0, boundary=Boundary.PERIODIC)
-            worst = max(worst, float(np.abs(gen.matrix @ p).max()))
+    for boundary in Boundary:
+        for n in (2, 3, 5, 8):
+            for bj in (-2.0, -0.5, 0.5, 1.0, 2.0):
+                gen = build_generator(n, ModelParams.from_physical(bj, 1.0, boundary=boundary))
+                p = gibbs_probabilities(n, bj, 1.0, boundary=boundary)
+                worst = max(worst, float(np.abs(gen.matrix @ p).max()))
     return _result("gibbs_stationarity", worst, 1e-10)
 
 
 def check_stationary_matches_gibbs() -> CheckResult:
     """The solved stationary distribution equals the Gibbs distribution
-    (total variation) for mixing parameters, rings at |beta J| = 8.8 among
-    them, where |gamma| is within ~1e-15 of 1 and the consensus or
-    alternating tapes are left at rates of that order."""
+    (total variation) for mixing parameters on rings and open chains,
+    |beta J| = 8.8 among them, where |gamma| is within ~1e-15 of 1 and the
+    consensus or alternating tapes of a ring are left at rates of that
+    order."""
     worst = 0.0
     cases = [(n, bj) for n in (2, 4, 6, 8) for bj in (0.5, 1.0)]
     cases += [(n, bj) for n in (4, 8) for bj in (8.8, -8.8)]
-    for n, bj in cases:
-        params = ModelParams.from_physical(bj, 1.0)
-        dists = stationary_distributions(build_generator(n, params))
-        p = dists[0]
-        q = gibbs_probabilities(n, bj, 1.0, boundary=Boundary.PERIODIC)
-        worst = max(worst, 0.5 * float(np.abs(p - q).sum()))
+    for boundary in Boundary:
+        for n, bj in cases:
+            params = ModelParams.from_physical(bj, 1.0, boundary=boundary)
+            p = stationary_distributions(build_generator(n, params))[0]
+            q = gibbs_probabilities(n, bj, 1.0, boundary=boundary)
+            worst = max(worst, 0.5 * float(np.abs(p - q).sum()))
     return _result("stationary_matches_gibbs", worst, 1e-10)
 
 
@@ -325,6 +329,31 @@ def check_consensus_split(seed: int = 0, trajectories: int = 10_000) -> CheckRes
     return _result("consensus_split", abs(ups / trajectories - 0.5), 3.0 * sigma)
 
 
+def check_machine_kernel_power(seed: int = 0, trials: int = 50_000) -> CheckResult:
+    """After k attempts from the alternating 4-cell ring at gamma = 0.5 the
+    machine's tape follows K^k p0, K = I + G/N the chain uniformized at
+    Lambda = N (pooled chi-square), at k = 3 and at k = 20, which reaches
+    past the first refill of 16 attempts."""
+    n = 4
+    params = ModelParams.from_gamma(0.5)
+    tape = SpinTape.alternating(n)
+    kernel = np.eye(2**n) + build_generator(n, params).matrix.toarray() / n
+    p0 = point_mass(encode_state(tape), n)
+    # the machines share one stream; each draws whole refills of its own
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    worst = -math.inf
+    for k in (3, 20):
+        counts = np.zeros(2**n, dtype=np.int64)
+        for _ in range(trials):
+            machine = TuringVoter(tape, params, rng)
+            for _ in range(k):
+                machine.step()
+            counts[encode_state(machine.tape)] += 1
+        worst = max(worst, multinomial_z(counts, np.linalg.matrix_power(kernel, k) @ p0))
+    return _result("machine_kernel_power", worst, 3.0,
+                   detail=f"{trials} machines per step count, n={n}")
+
+
 def check_kmc_vs_exact(seed: int = 0, trajectories: int = 100_000) -> CheckResult:
     """Continuous-time samples at t=1 reproduce exp(G t) (pooled chi-square)."""
     n = 6
@@ -438,6 +467,7 @@ def run_verify(seed: int = 0, fast: bool = False,
         (check_voter_absorbing,),
         (check_magnetization_conserved,),
         (check_consensus_split, seed, 10_000 // scale),
+        (check_machine_kernel_power, seed, 50_000 // scale),
         (check_kmc_vs_exact, seed, 100_000 // scale),
         (check_kmc_poisson, seed, 100_000 // scale),
         (check_relaxation_law,),

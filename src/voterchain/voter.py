@@ -12,6 +12,12 @@ cell and its two neighbours, as the Gillespie sampler does.  It also keeps
 the number of +1 cells, which a flip moves by its new symbol, so the halt
 check is one test: the tape is uniform when that count is 0 or N.
 
+One attempt is one `step` call, and the halt check before and after each
+attempt is one `is_consensus` call; per-attempt counters wrap these two
+methods, so every attempt goes through them.  An attempt's `StepEvent` is
+one of the 4N possible (cell, flipped, symbol after) values, built once per
+N and shared by every machine, so an attempt builds no object of its own.
+
 Random stream: the cells and uniforms of the attempts are drawn ahead, in
 refills of min(16 * 2^k, 1024) attempts for refill k = 0, 1, 2, ...  Each
 refill is one `integers(N, size=b)` call followed by one `random(b)` call on
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +48,16 @@ class StepEvent(NamedTuple):
     site: int
     flipped: bool
     new_symbol: int
+
+
+@lru_cache(maxsize=32)
+def _step_events(n: int) -> tuple[tuple[tuple[StepEvent, ...], ...], ...]:
+    """The 4n events of an n-cell machine, as `events[flipped][site][symbol]`.
+    Each site's row is (None, event with +1, event with -1), so the symbol
+    after the attempt, +1 or -1, indexes it directly."""
+    return tuple(tuple((None, StepEvent(site, flipped, 1), StepEvent(site, flipped, -1))
+                       for site in range(n))
+                 for flipped in (False, True))
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +94,7 @@ class TuringVoter:
         self._s, self._w, self._codes, self._table = _live_rates(tape, params)
         self._ups = self._s.count(1)
         self._n = len(self._s)
+        self._stayed, self._flipped = _step_events(self._n)
         self._rng = np.random.default_rng(seed)
         self._draws = iter(())  # the first block is drawn by the first attempt
         self._refill_size = _FIRST_REFILL
@@ -99,7 +117,10 @@ class TuringVoter:
         return next(self._draws)
 
     def step(self) -> StepEvent:
-        """Attempt one update."""
+        """Attempt one update and return its event, a shared immutable value.
+
+        Each attempt is exactly one call of this method, and the halt check
+        that follows it one call of `is_consensus`."""
         try:
             site, u = next(self._draws)
         except StopIteration:
@@ -110,8 +131,8 @@ class TuringVoter:
             _refresh(site, self._codes, self._w, self._table)
             s[site] = symbol = -s[site]
             self._ups += symbol
-            return StepEvent(site, True, symbol)
-        return StepEvent(site, False, s[site])
+            return self._flipped[site][symbol]
+        return self._stayed[site][s[site]]
 
     def run_until_halt(self, max_steps: int) -> Outcome:
         """Step until the tape is uniform (halt) or the budget runs out.

@@ -5,8 +5,8 @@ rates of many tapes by the float formula on padded neighbours, the
 single-flip flux balance of a rate table site by site, the energy of one
 tape by its bonds, the neighbourhood codes of many tapes at once, the
 one-step kernel of the discrete machine, the action of exp(G t) by a
-truncated Taylor series, and the transfer-matrix partition functions in log
-space.
+truncated Taylor series, the transfer-matrix partition functions in log
+space, and an event-log row composed field by field.
 """
 
 import math
@@ -140,3 +140,10 @@ def log_partition_periodic(n: int, x: float) -> float:
     if x < 0 and n % 2 == 1:
         return ring + math.log(-math.expm1(log_power))
     return ring + math.log1p(math.exp(log_power))
+
+
+def event_row(step: int, n: int, site: int, symbol: int, msum: int, digits: int) -> str:
+    """One `simulate` event-log row, time step / n, the site, its new symbol
+    and the magnetization msum / n, each number formatted on its own with
+    the format spec `.{digits}g` and the fields joined in an f-string."""
+    return f"{format(step / n, f'.{digits}g')},{site},{symbol},{format(msum / n, f'.{digits}g')}"

@@ -12,10 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import event_row
 
 from voterchain import cli, verify
 from voterchain.cli import main
-from voterchain.core import Boundary, ModelParams, magnetization_vector
+from voterchain.core import Boundary, ModelParams, decode_state, magnetization_vector
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, uniform_distribution
 from voterchain.thermo import thermo_report
 from voterchain.verify import run_verify
@@ -475,6 +476,34 @@ def test_simulate_event_log_schema(tmp_path):
         assert float(t) > 0.0
 
 
+@pytest.mark.parametrize("n", [7, 13])
+@pytest.mark.parametrize("digits", range(18))
+def test_event_rows_match_the_field_by_field_composition(tmp_path, digits, n):
+    # one printf template per row gives the bytes of formatting each number
+    # on its own: times step / n with long expansions, and magnetizations
+    # below zero from a start with one +1 cell
+    seed, trajectories, max_steps = 11, 2, 400
+    ev = tmp_path / "e.csv"
+    assert main(["simulate", "--n", str(n), "--gamma", "-0.5", "--init", "index:1",
+                 "--trajectories", str(trajectories), "--max-steps", str(max_steps),
+                 "--digits", str(digits), "--seed", str(seed),
+                 "--out", str(tmp_path / "s.csv"), "--events", str(ev)]) == 0
+    lines = ev.read_text().splitlines()
+    expected = lines[:5]
+    assert expected[-1] == "time,site,new_symbol,magnetization"
+    params = ModelParams.from_gamma(-0.5)
+    tape = decode_state(1, n)
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(trajectories)):
+        outcome = TuringVoter(tape, params, np.random.default_rng(child)).run_until_halt(max_steps)
+        expected.append(f"# trajectory {i}")
+        msum = sum(tape.symbols)
+        for step, site, symbol in outcome.flips.tolist():
+            msum += 2 * symbol
+            expected.append(event_row(step, n, site, symbol, msum, digits))
+    assert lines == expected
+    assert any(row.split(",")[3].startswith("-") for row in expected[5:] if row[0] != "#")
+
+
 def test_exact_outputs_distribution_and_summary(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["exact", "--n", "2", "--gamma", "0", "--init", "index:3",
@@ -690,7 +719,7 @@ def test_verify_reports_a_crashing_check(tmp_path, monkeypatch):
     assert main(["verify", "--fast", "--out", str(out)]) == 1
     lines = _data_lines(out)
     rows = {line.split(",")[0]: line.split(",")[1:] for line in lines[1:]}
-    assert len(rows) == 19
+    assert len(rows) == 20
     assert rows.pop("relaxation_law") == ["fail", "nan", "nan"]
     assert all(fields[0] == "pass" for fields in rows.values())
     notes = [line for line in out.read_text().splitlines() if line.startswith("# note")]

@@ -175,6 +175,24 @@ def test_params_from_physical():
     assert q.gamma == pytest.approx(TANH2, abs=1e-15)
 
 
+def test_open_chain_end_factor():
+    # a ring has no end cells; an open chain's end factor is tanh(J/kT),
+    # from gamma when gamma is what was given and from J/(kT) otherwise
+    assert ModelParams.from_gamma(0.5).end is None
+    assert ModelParams.from_physical(1.0, 2.0).end is None
+    g = 0.5
+    assert ModelParams.from_gamma(g, boundary=Boundary.OPEN).end == g / (1 + math.sqrt(1 - g * g))
+    assert ModelParams.from_gamma(-1.0, boundary=Boundary.OPEN).end == -1.0
+    for x in (0.3, -2.0, 8.8, 10.0, math.inf):
+        params = ModelParams.from_physical(x, 1.0, boundary=Boundary.OPEN)
+        assert params.end == math.tanh(x)
+    # at J/kT = 10 gamma rounds to 1, but the end cells still flip at ~2e-9
+    assert ModelParams.from_physical(10.0, 1.0, boundary=Boundary.OPEN).gamma == 1.0
+    assert 0 < 1 - ModelParams.from_physical(10.0, 1.0, boundary=Boundary.OPEN).end < 1e-8
+    with pytest.raises(TypeError):
+        ModelParams(gamma=0.5, boundary=Boundary.OPEN, end=0.1)
+
+
 def test_params_positivity():
     with pytest.raises(ValueError):
         ModelParams.from_physical(1.0, -1.0)

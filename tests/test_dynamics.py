@@ -94,7 +94,7 @@ def test_table_rows_match_tape_rates(n, gamma, boundary):
     table = rates(spin_table(n), params)
     assert table.shape == (2**n, n)
     assert table.tobytes() == flip_rates(spin_table(n), params).tobytes()
-    lookup = _rate_lookup(n, gamma, boundary is Boundary.OPEN)
+    lookup = _rate_lookup(n, gamma, params.end)
     codes = neighbourhoods(spin_table(n))
     for idx in range(2**n):
         tape = decode_state(idx, n, boundary)
@@ -283,6 +283,23 @@ def test_stationary_matches_gibbs():
         assert np.abs(dists[0] - gibbs).max() <= 1e-10
         assert 0.5 * np.abs(dists[0] - gibbs).sum() <= 1e-10
         assert np.abs(gen.matrix @ gibbs).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])
+@pytest.mark.parametrize("bj", [7.0, 8.8, -8.8, 10.0, -10.0])
+def test_open_chain_near_unit_gamma_keeps_the_gibbs_law(n, bj):
+    # an open chain leaves its consensus (or alternating) tapes through its
+    # end cells at rates ~e^{-2|beta J|}: those rates come from tanh(J/kT),
+    # not from a gamma whose rounding next to +-1 moves them by percents or
+    # to 0, and the tree runs through them rather than through interior
+    # pairs at rates of 1e-16 or below
+    params = ModelParams.from_physical(bj, 1.0, boundary=Boundary.OPEN)
+    gen = build_generator(n, params)
+    gibbs = gibbs_probabilities(n, bj, 1.0, boundary=Boundary.OPEN)
+    assert np.abs(gen.matrix @ gibbs).max() <= 1e-15
+    dists = stationary_distributions(gen)
+    assert len(dists) == 1
+    assert 0.5 * np.abs(dists[0] - gibbs).sum() <= 1e-14
 
 
 def test_stationary_voter_absorbing_basis():

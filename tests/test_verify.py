@@ -1,0 +1,55 @@
+"""Each `verify` row can fail: a table of mutants, each a one-line change to
+the package applied by monkeypatch, with the rows that must catch it.
+
+A mutant runs `run_verify` exactly as `verify --fast` does, seeds and
+trial counts included, with every row it does not name replaced by a
+passing stub, so each case pays only for the rows it checks.
+"""
+
+import pytest
+
+from voterchain import dynamics, verify, voter
+from voterchain.verify import CheckResult, run_verify
+
+
+def _half_gamma_ends(monkeypatch):
+    # the open chain's end cells weigh their bond by gamma/2 in place of
+    # tanh(J/kT), except at |gamma| = 1, where the end factor stays 1
+    lookup = dynamics._rate_lookup
+    monkeypatch.setattr(dynamics, "_rate_lookup", lambda n, gamma, end: lookup(
+        n, gamma, end if end is None or abs(gamma) == 1.0 else gamma / 2))
+
+
+def _machine_flips_five_percent_more(monkeypatch):
+    # the machine flips with probability min(1, 1.05 w)
+    live_rates = voter._live_rates
+
+    def scaled(tape, params):
+        symbols, _, codes, table = live_rates(tape, params)
+        table = tuple(tuple(min(1.0, 1.05 * w) for w in row) for row in table)
+        return symbols, [row[c] for row, c in zip(table, codes)], codes, table
+
+    monkeypatch.setattr(voter, "_live_rates", scaled)
+
+
+MUTANTS = {
+    "open_end_coupling_half_gamma": (_half_gamma_ends, ["detailed_balance", "gibbs_stationarity",
+                                                        "stationary_matches_gibbs"]),
+    "machine_flip_probability_1.05w": (_machine_flips_five_percent_more,
+                                       ["machine_kernel_power"]),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_mutant_fails_the_rows_named_for_it(monkeypatch, mutant):
+    apply, rows = MUTANTS[mutant]
+    for name in dir(verify):
+        row = name.removeprefix("check_")
+        if name.startswith("check_") and row not in rows:
+            monkeypatch.setattr(verify, name, lambda *args, row=row: CheckResult(row, True, 0.0, 1.0))
+    results = {r.name: r for r in run_verify(seed=0, fast=True)}
+    assert all(results[row].passed for row in rows)
+    apply(monkeypatch)
+    results = {r.name: r for r in run_verify(seed=0, fast=True)}
+    failed = sorted(name for name, r in results.items() if not r.passed)
+    assert failed == sorted(rows)

@@ -9,7 +9,7 @@ from oracles import uniformized_kernel
 from voterchain.core import Boundary, ModelParams, SpinTape, encode_state
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, rates
 from voterchain.verify import multinomial_z
-from voterchain.voter import TuringVoter
+from voterchain.voter import StepEvent, TuringVoter
 
 
 def _flip(symbols, site, gamma, boundary=Boundary.PERIODIC):
@@ -244,10 +244,31 @@ def test_steps_to_halt_follow_absorbed_kernel_mass(boundary):
     assert multinomial_z(counts, probs) < 3.0
 
 
+def _replay(tape: SpinTape, params: ModelParams, replay: np.random.Generator,
+            attempts: int) -> tuple[list[StepEvent], list[list[int]]]:
+    """The events and the tape after each of `attempts` attempts, rebuilt from
+    the documented refills: refill k draws min(16 * 2^k, 1024) cells, then as
+    many uniforms, and each attempt takes the next cell and uniform and flips
+    when u < w[site]."""
+    n = tape.n
+    cells, uniforms, size = [], [], 16
+    while len(cells) < attempts:
+        cells += replay.integers(n, size=size).tolist()
+        uniforms += replay.random(size).tolist()
+        size = min(2 * size, 1024)
+    s = list(tape.symbols)
+    events, tapes = [], [s[:]]
+    for site, u in zip(cells[:attempts], uniforms):
+        flipped = bool(u < rates(s, params)[site])
+        if flipped:
+            s[site] = -s[site]
+        events.append(StepEvent(site, flipped, int(s[site])))
+        tapes.append(s[:])
+    return events, tapes
+
+
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_attempts_replay_the_documented_refills(boundary):
-    # refill k draws min(16 * 2^k, 1024) cells, then as many uniforms; each
-    # attempt takes the next cell and uniform and flips when u < w[site]
     n, attempts = 7, 3_000
     params = ModelParams.from_gamma(0.4, boundary=boundary)
     tape = SpinTape.alternating(n, boundary)
@@ -255,21 +276,36 @@ def test_attempts_replay_the_documented_refills(boundary):
     machine = TuringVoter(tape, params, stream)
     events = [machine.step() for _ in range(attempts)]
     replay = np.random.default_rng(5)
-    cells, uniforms, size = [], [], 16
-    while len(cells) < attempts:
-        cells += replay.integers(n, size=size).tolist()
-        uniforms += replay.random(size).tolist()
-        size = min(2 * size, 1024)
-    s = list(tape.symbols)
-    rebuilt = []
-    for site, u in zip(cells[:attempts], uniforms):
-        flipped = bool(u < rates(s, params)[site])
-        if flipped:
-            s[site] = -s[site]
-        rebuilt.append((site, flipped, int(s[site])))
-    assert events == rebuilt
+    assert events == _replay(tape, params, replay, attempts)[0]
     # the generator passed in is drawn ahead by whole refills
     assert stream.bit_generator.state == replay.bit_generator.state
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 9), gamma=st.floats(-1.0, 1.0),
+       boundary=st.sampled_from(list(Boundary)), seed=st.integers(0, 2**32 - 1),
+       attempts=st.integers(0, 150), data=st.data())
+def test_shared_events_equal_fresh_ones(n, gamma, boundary, seed, attempts, data):
+    # every attempt returns one of the 4n shared events, equal to the event
+    # built afresh from the replayed refills, and a run records the same flips
+    symbols = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    tape = SpinTape(symbols, boundary)
+    params = ModelParams.from_gamma(gamma, boundary=boundary)
+    machine = TuringVoter(tape, params, seed)
+    events = [machine.step() for _ in range(attempts)]
+    expected, tapes = _replay(tape, params, np.random.default_rng(seed), attempts)
+    assert events == expected
+    assert [type(e.flipped) for e in events] == [bool] * attempts
+    assert [type(e.new_symbol) for e in events] == [int] * attempts
+    # the events are shared values: at most 4n objects, the same in every machine
+    assert len({id(e) for e in events}) <= 4 * n
+    if events:
+        assert TuringVoter(tape, params, seed).step() is events[0]
+    outcome = TuringVoter(tape, params, seed).run_until_halt(attempts)
+    halt = next((k for k, s in enumerate(tapes) if len(set(s)) == 1), attempts)
+    assert outcome.steps == halt
+    assert outcome.flips.tolist() == [[k + 1, e.site, e.new_symbol]
+                                      for k, e in enumerate(expected[:halt]) if e.flipped]
 
 
 def test_multinomial_z_pools_tied_cells_by_state_index():
