@@ -406,6 +406,7 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
             weight = sparse.csr_array((1.0 + np.log(slow.max(initial=1.0)) - np.log(slow),
                                        (row, col)), shape=g_c.shape)
             bottleneck = minimum_spanning_tree(weight).data.max(initial=0.0)
+            # the breadth-first tree runs on the pairs no slower than that tree's slowest
             weight.data[weight.data > bottleneck] = 0.0
             weight.eliminate_zeros()
             order, pred = breadth_first_order(weight, 0, return_predecessors=True)
