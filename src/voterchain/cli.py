@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import math
 import sys
+from collections.abc import Iterable
 from contextlib import nullcontext
 
 import numpy as np
@@ -66,9 +67,10 @@ def _header(args: argparse.Namespace) -> list[str]:
     ]
 
 
-def _write_text(path: str, lines: list[str]) -> None:
+def _write_text(path: str, lines: Iterable[str]) -> None:
     """Write each line and its newline to `path`, or to stdout for "-", one
-    line at a time, so no copy of the whole output is held beside the lines."""
+    line at a time, so no copy of the whole output is held beside the lines;
+    lines given by an iterator are written as they are made."""
     with nullcontext(sys.stdout) if path == "-" else open(
             path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
@@ -179,14 +181,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if want_events:
         # event time is step / N; the magnetization is carried from the start tape
         ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
-        # one template per row, the `%g` of `_fmt` for time and magnetization
-        row = f"%.{d}g,%d,%d,%.{d}g"
+        # a row formats only its time, with the `%g` of `_fmt`; its
+        # `,site,symbol,` and magnetization texts are made the first time
+        # each is needed, at most 2N and N + 1 of them
+        number = f"%.{d}g"
+        cells: dict[tuple[int, int], str] = {}
+        mags: dict[int, str] = {}
         for i, (msum, out) in enumerate(results):
             ev_lines.append(f"# trajectory {i}")
             # one list per column: three objects instead of one per flip
             for step, site, sym in zip(*out.flips.T.tolist()):
                 msum += 2 * sym
-                ev_lines.append(row % (step / n, site, sym, msum / n))
+                cell = cells.get((site, sym))
+                if cell is None:
+                    cell = cells[site, sym] = f",{site},{sym},"
+                mag = mags.get(msum)
+                if mag is None:
+                    mag = mags[msum] = number % (msum / n)
+                ev_lines.append(number % (step / n) + cell + mag)
         _write_text(args.events, ev_lines)
     return 0
 
@@ -200,6 +212,10 @@ def _summary_path(out: str) -> str:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    """Write P(t) on the grid and its mean magnetization.  Every time's
+    window is checked against the product cap before the first vector, so
+    a refused --t-end writes no file and nothing on stdout; otherwise each
+    time's block of 2^n rows is written as soon as it is formatted."""
     params = _resolve_params(args)
     n = args.n
     # the size and the start are checked before anything of size 2^n is built
@@ -210,23 +226,27 @@ def cmd_exact(args: argparse.Namespace) -> int:
         p0 = point_mass(encode_state(_initial_tape(args.init, n, params.boundary)), n)
     gen = build_generator(n, params)
     times = np.linspace(0.0, args.t_end, args.t_steps + 1)
+    try:
+        vectors = _stepped(p0, gen, times)
+    except ValueError as exc:  # a window past the product cap; nothing is written
+        raise ValueError(f"--t-end {args.t_end:g} too large: {exc}") from exc
     m = magnetization_vector(n)
     d = args.digits
-    # one template per time block, filled with (time, probability) per state
-    block = "%s," + f",%.{d}g\n%s,".join(map(str, range(2**n))) + f",%.{d}g"
-    dist_lines = _header(args) + ["time,state_index,probability"]
+    # one template per time block: the time goes in once per block by
+    # replacing its placeholder, then the probabilities fill the `%` fields
+    block = "@," + f",%.{d}g\n@,".join(map(str, range(2**n))) + f",%.{d}g"
     summary_lines = _header(args) + ["time,mean_magnetization"]
-    try:
-        for t, p in zip(times, _stepped(p0, gen, times)):
-            fields = [_fmt(t, d), 0.0] * 2**n
-            fields[1::2] = p.tolist()
-            dist_lines.append(block % tuple(fields))
-            summary_lines.append(f"{_fmt(t, d)},{_fmt(float(m @ p), d)}")
-    except ValueError as exc:  # a window past the product cap; nothing is written yet
-        raise ValueError(f"--t-end {args.t_end:g} too large: {exc}") from exc
-    _write_text(args.out, dist_lines)
-    summary_out = _summary_path(args.out)
-    _write_text(summary_out, summary_lines)
+
+    def dist_lines():
+        yield from _header(args)
+        yield "time,state_index,probability"
+        for t, p in zip(times, vectors):
+            time = _fmt(t, d)
+            summary_lines.append(f"{time},{_fmt(float(m @ p), d)}")
+            yield block.replace("@", time) % tuple(p.tolist())
+
+    _write_text(args.out, dist_lines())
+    _write_text(_summary_path(args.out), summary_lines)
     return 0
 
 

@@ -31,13 +31,15 @@ hold at most 2^-53 of the mass, and a window that would take more than 10^8
 kernel products is refused before any is made.  A time grid is walked by
 `_stepped` in groups of times that share one sequence of powers K^k P from
 the last vector reached, so each grid time carries one truncation bound and
-a short grid costs the window of its last time; `evolve_exact` is its
-one-time case.  An observable such as the mean magnetization is read off
-each P(t) by its caller, as the `exact` command and the relaxation check
-do.  The chain's stationary laws are the results the machine can settle
-on: one law per closed class of the flip graph, such as the two consensus
-tapes at gamma = 1 or the two alternating tapes of an even ring at
-gamma = -1, and the single Gibbs law in between.
+a short grid costs the window of its last time; every group is planned
+before the first product, so a grid with one window past the cap is refused
+before any vector.  `evolve_exact` is its one-time case.  An observable
+such as the mean magnetization is read off each P(t) by its caller, as the
+`exact` command and the relaxation check do.  The chain's stationary laws
+are the results the machine can settle on: one law per closed class of the
+flip graph, such as the two consensus tapes at gamma = 1 or the two
+alternating tapes of an even ring at gamma = -1, and the single Gibbs law
+in between.
 
 scipy is imported inside the exact operations that use it, not when the
 module loads, so the samplers run without it and the first exact call in
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, product
@@ -163,14 +166,24 @@ def _live_rates(tape: SpinTape, params: ModelParams
 def _refresh(site: int, codes: list[int], w: list[float],
              table: tuple[tuple[float, ...], ...]) -> None:
     """After `site` flips, update the neighbourhood codes and the rates `w`
-    of the site and its two neighbours."""
-    n = len(codes)
-    left, right = (site - 1) % n, (site + 1) % n
-    codes[left] ^= 1
-    codes[site] ^= 2
-    codes[right] ^= 4
-    for i in (left, site, right):
-        w[i] = table[i][codes[i]]
+    of the site and its two neighbours, each in turn, with no modulo or
+    loop: the left neighbour is index `site - 1` (-1 is the last site), and
+    the right one wraps to 0 only at the last site.  On one or two cells a
+    neighbour is the site itself or the other neighbour; its rate is read
+    after its last code update, so it is still current."""
+    left = site - 1
+    code = codes[left] ^ 1
+    codes[left] = code
+    w[left] = table[left][code]
+    code = codes[site] ^ 2
+    codes[site] = code
+    w[site] = table[site][code]
+    right = site + 1
+    if right == len(codes):
+        right = 0
+    code = codes[right] ^ 4
+    codes[right] = code
+    w[right] = table[right][code]
 
 
 def _check_exact_size(n: int) -> None:
@@ -291,9 +304,9 @@ def evolve_exact(p0: np.ndarray, gen: GeneratorMatrix, t: float) -> np.ndarray:
     return p
 
 
-def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
-    """Yield P(t) at each of the ascending `times` by one uniformization walk
-    per group of times.
+def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times) -> Iterator[np.ndarray]:
+    """P(t) at each of the ascending `times`, by one uniformization walk per
+    group of times, as an iterator.
 
     A group starts from the last vector reached, P(t_a), which is P(0) at
     t_a = 0.  It takes each following time whose Poisson window for
@@ -306,16 +319,18 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
     2^-52 truncation bound.  The last vector of a group anchors the next.
     A grid whose windows all start at k = 0 from t = 0 and that holds no
     more times than products is one group, read off one walk of about
-    Lambda t_end + O(sqrt(Lambda t_end)) products.  The cap on one window's
-    products holds for each group, and a time that breaks it or steps back
-    is rejected once the times before it are yielded.
+    Lambda t_end + O(sqrt(Lambda t_end)) products.  The groups depend only
+    on the times and Lambda, so all of them are planned, and every window
+    checked against the cap on one window's products, before this returns:
+    a time that breaks the cap or steps back is rejected here, before the
+    first product and the first vector.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
     rate, kernel = gen._uniformized
     times = [float(t) for t in times]
-    anchor, t_a, i = p0, 0.0, 0
+    groups, t_a, i = [], 0.0, 0
     while i < len(times):
         group = [_window(rate, times[i] - t_a)]
         products = group[0][0] + group[0][1].size - 1
@@ -329,10 +344,20 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times):
                 break
             group.append((first, weights))
             products = end
-        vectors = _walk(anchor, kernel, group)
-        yield from vectors
+        groups.append(group)
         i += len(group)
-        anchor, t_a = vectors[-1], times[i - 1]
+        t_a = times[i - 1]
+    return _walks(p0, kernel, groups)
+
+
+def _walks(p: np.ndarray, kernel: sparse.csr_array,
+           groups: list[list[tuple[int, np.ndarray]]]) -> Iterator[np.ndarray]:
+    """Yield the vectors of each planned group in turn, each group's walk
+    starting from the last vector of the one before."""
+    for group in groups:
+        vectors = _walk(p, kernel, group)
+        yield from vectors
+        p = vectors[-1]
 
 
 def _walk(p: np.ndarray, kernel: sparse.csr_array,

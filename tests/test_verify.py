@@ -32,11 +32,50 @@ def _machine_flips_five_percent_more(monkeypatch):
     monkeypatch.setattr(voter, "_live_rates", scaled)
 
 
+def _last_site_keeps_a_stale_right_neighbour(monkeypatch):
+    # a flip of the last site refreshes its left neighbour and itself, never
+    # site 0, its right neighbour across the wrap; both samplers share it
+    def refresh(site, codes, w, table):
+        neighbourhood = [(site - 1, 1), (site, 2)]
+        if site + 1 < len(codes):
+            neighbourhood.append((site + 1, 4))
+        for i, bit in neighbourhood:
+            codes[i] ^= bit
+            w[i] = table[i][codes[i]]
+
+    monkeypatch.setattr(dynamics, "_refresh", refresh)
+    monkeypatch.setattr(voter, "_refresh", refresh)
+
+
+def _gillespie_clock_five_percent_fast(monkeypatch):
+    # the sampler's running rate sums, and so its total rate, read 5% high:
+    # the waiting times shrink by 1/1.05 and the site draw is unchanged
+    accumulate = dynamics.accumulate
+    monkeypatch.setattr(dynamics, "accumulate", lambda w: (1.05 * x for x in accumulate(w)))
+
+
+def _machine_never_picks_the_last_cell(monkeypatch):
+    # each refill draws its cells from the first N - 1
+    def refill(self):
+        b = self._refill_size
+        self._refill_size = min(2 * b, voter._MAX_REFILL)
+        cells = self._rng.integers(self._n - 1, size=b).tolist()
+        self._draws = zip(cells, self._rng.random(b).tolist())
+        return next(self._draws)
+
+    monkeypatch.setattr(voter.TuringVoter, "_refill", refill)
+
+
 MUTANTS = {
     "open_end_coupling_half_gamma": (_half_gamma_ends, ["detailed_balance", "gibbs_stationarity",
                                                         "stationary_matches_gibbs"]),
     "machine_flip_probability_1.05w": (_machine_flips_five_percent_more,
                                        ["machine_kernel_power"]),
+    "refresh_skips_the_wrap": (_last_site_keeps_a_stale_right_neighbour,
+                               ["kmc_vs_exact", "machine_kernel_power"]),
+    "gillespie_clock_1.05": (_gillespie_clock_five_percent_fast, ["kmc_poisson"]),
+    "machine_never_picks_the_last_cell": (_machine_never_picks_the_last_cell,
+                                          ["consensus_split"]),
 }
 
 
