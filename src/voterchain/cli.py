@@ -20,8 +20,9 @@ import argparse
 import dataclasses
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from contextlib import nullcontext
+from operator import add
 
 import numpy as np
 
@@ -132,6 +133,18 @@ def cmd_thermo(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Texts(dict):
+    """Texts by key, each made by `make` the first time its key is read."""
+
+    def __init__(self, make: Callable[[int], str]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: int) -> str:
+        self[key] = text = self._make(key)
+        return text
+
+
 def _run_trajectory(payload) -> tuple[int, Outcome]:
     """One seeded run: the start tape's symbol sum and the outcome, whose
     flip records are kept only for an event log."""
@@ -182,23 +195,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # event time is step / N; the magnetization is carried from the start tape
         ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
         # a row formats only its time, with the `%g` of `_fmt`; its
-        # `,site,symbol,` and magnetization texts are made the first time
-        # each is needed, at most 2N and N + 1 of them
+        # `,site,symbol,` text, keyed by 2 site + (symbol > 0), and its
+        # magnetization text, keyed by the symbol sum, are made the first
+        # time each is needed, at most 2N and N + 1 of them
         number = f"%.{d}g"
-        cells: dict[tuple[int, int], str] = {}
-        mags: dict[int, str] = {}
+        cells = _Texts(lambda key: f",{key >> 1},{1 if key & 1 else -1},")
+        mags = _Texts(lambda msum: number % (msum / n))
         for i, (msum, out) in enumerate(results):
             ev_lines.append(f"# trajectory {i}")
-            # one list per column: three objects instead of one per flip
-            for step, site, sym in zip(*out.flips.T.tolist()):
-                msum += 2 * sym
-                cell = cells.get((site, sym))
-                if cell is None:
-                    cell = cells[site, sym] = f",{site},{sym},"
-                mag = mags.get(msum)
-                if mag is None:
-                    mag = mags[msum] = number % (msum / n)
-                ev_lines.append(number % (step / n) + cell + mag)
+            steps, sites, syms = out.flips.T
+            # whole columns at once: int64 step / N is the float that the
+            # Python ints give, since both are exact in a double
+            times = map(number.__mod__, (steps / n).tolist())
+            texts = map(cells.__getitem__, (2 * sites + (syms > 0)).tolist())
+            msums = map(mags.__getitem__, (msum + 2 * np.cumsum(syms)).tolist())
+            ev_lines.extend(map(add, map(add, times, texts), msums))
         _write_text(args.events, ev_lines)
     return 0
 
