@@ -323,41 +323,44 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times) -> Iterator[np.ndarray
     on the times and Lambda, so all of them are planned, and every window
     checked against the cap on one window's products, before this returns:
     a time that breaks the cap or steps back is rejected here, before the
-    first product and the first vector.
+    first product and the first vector.  The plan keeps only each group's
+    size, and a group's windows are formed again when its walk starts, so
+    a long grid holds one group's weights at a time.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
     rate, kernel = gen._uniformized
     times = [float(t) for t in times]
-    groups, t_a, i = [], 0.0, 0
+    sizes, t_a, i = [], 0.0, 0
     while i < len(times):
-        group = [_window(rate, times[i] - t_a)]
-        products = group[0][0] + group[0][1].size - 1
-        while group[0][0] == 0 and i + len(group) < len(times):
+        first, weights = _window(rate, times[i] - t_a)
+        size, products = 1, first + weights.size - 1
+        while first == 0 and i + size < len(times):
             try:
-                first, weights = _window(rate, times[i + len(group)] - t_a)
+                start, weights = _window(rate, times[i + size] - t_a)
             except ValueError:  # checked again as the head of the next group
                 break
-            end = max(products, first + weights.size - 1)
-            if first > 0 or len(group) >= end:
+            end = max(products, start + weights.size - 1)
+            if start > 0 or size >= end:
                 break
-            group.append((first, weights))
-            products = end
-        groups.append(group)
-        i += len(group)
+            size, products = size + 1, end
+        sizes.append(size)
+        i += size
         t_a = times[i - 1]
-    return _walks(p0, kernel, groups)
+    return _walks(p0, kernel, rate, times, sizes)
 
 
-def _walks(p: np.ndarray, kernel: sparse.csr_array,
-           groups: list[list[tuple[int, np.ndarray]]]) -> Iterator[np.ndarray]:
-    """Yield the vectors of each planned group in turn, each group's walk
-    starting from the last vector of the one before."""
-    for group in groups:
-        vectors = _walk(p, kernel, group)
+def _walks(p: np.ndarray, kernel: sparse.csr_array, rate: float, times: list[float],
+           sizes: list[int]) -> Iterator[np.ndarray]:
+    """Yield the vectors of each planned group of `sizes` times in turn,
+    each group's walk starting from the last vector of the one before."""
+    t_a, i = 0.0, 0
+    for size in sizes:
+        vectors = _walk(p, kernel, [_window(rate, t - t_a) for t in times[i:i + size]])
         yield from vectors
-        p = vectors[-1]
+        i += size
+        p, t_a = vectors[-1], times[i - 1]
 
 
 def _walk(p: np.ndarray, kernel: sparse.csr_array,

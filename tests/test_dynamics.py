@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -678,6 +679,23 @@ def test_exact_rejects_a_window_past_the_product_cap():
     with pytest.raises(ValueError, match="over the cap of 1e\\+08"):
         _stepped(p0, gen, [0.0, 1.0, 1e300])
     assert counter.products == 0
+
+
+def test_grid_plan_holds_no_window_weights():
+    # the plan keeps each group's size, not its Poisson weights: 30 times
+    # Lambda t = 1e4 apart, each a window of ~1,700 weights, would hold
+    # about 0.4 MB of them before the first product
+    gen = build_generator(1, ModelParams.from_gamma(0.0))
+    assert gen._uniformized[0] == 0.5
+    times = np.linspace(0.0, 30 * 2e4, 31)
+    tracemalloc.start()
+    try:
+        stepped = _stepped(point_mass(0, 1), gen, times)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 40_000
+    assert np.array_equal(next(stepped), point_mass(0, 1))
 
 
 def test_relaxation_rate_tracks_gamma():
