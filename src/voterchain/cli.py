@@ -203,13 +203,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         mags = _Texts(lambda msum: number % (msum / n))
         for i, (msum, out) in enumerate(results):
             ev_lines.append(f"# trajectory {i}")
+            if not len(out.flips):
+                continue
             steps, sites, syms = out.flips.T
             # whole columns at once: int64 step / N is the float that the
             # Python ints give, since both are exact in a double
             times = map(number.__mod__, (steps / n).tolist())
             texts = map(cells.__getitem__, (2 * sites + (syms > 0)).tolist())
             msums = map(mags.__getitem__, (msum + 2 * np.cumsum(syms)).tolist())
-            ev_lines.extend(map(add, map(add, times, texts), msums))
+            # a trajectory's rows are written as one text
+            ev_lines.append("\n".join(map(add, map(add, times, texts), msums)))
         _write_text(args.events, ev_lines)
     return 0
 
