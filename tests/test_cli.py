@@ -919,7 +919,8 @@ def test_exact_output_is_written_without_a_copy_of_it(tmp_path):
     # each time's block is written as soon as it is formatted, so 200 grid
     # times raise the peak over a single time by far less than the 20 MB
     # file (0.3 MB measured); a writer that kept every block until the end
-    # held about one file size more, and one that joined the lines three
+    # held about one file size more, and one that joined the lines about
+    # three file sizes
     src = Path(__file__).resolve().parents[1] / "src"
     peak = {}
     for steps in (1, 200):
