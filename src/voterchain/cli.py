@@ -463,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
             if not math.isfinite(t_end):
                 raise ValueError("--t-end must be finite")
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -315,18 +315,18 @@ def check_consensus_split(seed: int = 0, trajectories: int = 10_000) -> CheckRes
     half the time (3 sigma binomial band)."""
     params = ModelParams.from_gamma(1.0)
     tape = SpinTape([+1, -1])
+    tolerance = 3.0 * (0.5 / math.sqrt(trajectories))
     children = np.random.SeedSequence([seed, 4]).spawn(trajectories)
     ups = 0
     for child in children:
         machine = TuringVoter(tape, params, child)
         outcome = machine.run_until_halt(max_steps=1000)
         if not outcome.halted:
-            return _result("consensus_split", math.inf, 0.015,
+            return _result("consensus_split", math.inf, tolerance,
                            detail="a trajectory failed to reach consensus")
         if outcome.consensus_symbol == 1:
             ups += 1
-    sigma = 0.5 / math.sqrt(trajectories)
-    return _result("consensus_split", abs(ups / trajectories - 0.5), 3.0 * sigma)
+    return _result("consensus_split", abs(ups / trajectories - 0.5), tolerance)
 
 
 def check_machine_kernel_power(seed: int = 0, trials: int = 50_000) -> CheckResult:

@@ -3,8 +3,12 @@ the package applied by monkeypatch, with the rows that must catch it.
 
 A mutant runs `run_verify` exactly as `verify --fast` does, seeds and
 trial counts included, with every row it does not name replaced by a
-passing stub, so each case pays only for the rows it checks.
+passing stub, so each case pays only for the rows it checks.  That the
+named rows pass unmutated is read from the session's one `verify --fast`
+run.
 """
+
+import math
 
 import pytest
 
@@ -66,6 +70,30 @@ def _machine_never_picks_the_last_cell(monkeypatch):
     monkeypatch.setattr(voter.TuringVoter, "_refill", refill)
 
 
+def _ring_gamma_a_thousandth_high(monkeypatch):
+    # a ring's flip rule reads gamma 1.001 times too large for |gamma| < 1
+    lookup = dynamics._rate_lookup
+    monkeypatch.setattr(dynamics, "_rate_lookup", lambda n, gamma, end: lookup(
+        n, gamma * 1.001 if end is None and abs(gamma) < 1.0 else gamma, end))
+
+
+def _poisson_weights_short_of_their_mass(monkeypatch):
+    # uniformization's Poisson weights sum to 1 - 1e-6
+    window = dynamics._poisson_window
+
+    def short(mean):
+        first, weights = window(mean)
+        return first, weights * (1.0 - 1e-6)
+
+    monkeypatch.setattr(dynamics, "_poisson_window", short)
+
+
+def _uniformized_time_one_percent_long(monkeypatch):
+    # every exact step propagates 1.01 times its time
+    window = dynamics._window
+    monkeypatch.setattr(dynamics, "_window", lambda rate, dt: window(rate, 1.01 * dt))
+
+
 MUTANTS = {
     "open_end_coupling_half_gamma": (_half_gamma_ends, ["detailed_balance", "gibbs_stationarity",
                                                         "stationary_matches_gibbs"]),
@@ -76,19 +104,36 @@ MUTANTS = {
     "gillespie_clock_1.05": (_gillespie_clock_five_percent_fast, ["kmc_poisson"]),
     "machine_never_picks_the_last_cell": (_machine_never_picks_the_last_cell,
                                           ["consensus_split"]),
+    "ring_gamma_1.001": (_ring_gamma_a_thousandth_high,
+                         ["detailed_balance", "gibbs_stationarity", "relaxation_law",
+                          "stationary_matches_gibbs"]),
+    "poisson_weights_short_1e-6": (_poisson_weights_short_of_their_mass,
+                                   ["probability_conservation", "relaxation_law"]),
+    "uniformized_time_1.01": (_uniformized_time_one_percent_long, ["relaxation_law"]),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_mutant_fails_the_rows_named_for_it(monkeypatch, mutant):
+def test_mutant_fails_the_rows_named_for_it(monkeypatch, verify_results, mutant):
     apply, rows = MUTANTS[mutant]
+    passed = {r.name: r.passed for r in verify_results}
+    assert all(passed[row] for row in rows)
     for name in dir(verify):
         row = name.removeprefix("check_")
         if name.startswith("check_") and row not in rows:
             monkeypatch.setattr(verify, name, lambda *args, row=row: CheckResult(row, True, 0.0, 1.0))
-    results = {r.name: r for r in run_verify(seed=0, fast=True)}
-    assert all(results[row].passed for row in rows)
     apply(monkeypatch)
     results = {r.name: r for r in run_verify(seed=0, fast=True)}
     failed = sorted(name for name, r in results.items() if not r.passed)
     assert failed == sorted(rows)
+
+
+def test_consensus_split_reports_its_own_band_when_a_run_does_not_halt(monkeypatch):
+    # the band of a run that never halts was the 10,000-run one, 0.015,
+    # whatever the count
+    run_until_halt = voter.TuringVoter.run_until_halt
+    monkeypatch.setattr(voter.TuringVoter, "run_until_halt",
+                        lambda self, max_steps: run_until_halt(self, 0))
+    r = verify.check_consensus_split(0, 2_000)
+    assert not r.passed and r.residual == math.inf
+    assert r.tolerance == pytest.approx(1.5 / math.sqrt(2_000))
