@@ -91,6 +91,15 @@ def test_model_flags_are_exclusive(capsys):
     assert "error: --trajectories must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--trajectories", "0"]])
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_cell(tmp_path, capsys, n, extra):
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--n", n, "--gamma", "0", "--out", str(out)] + extra) == 2
+    assert capsys.readouterr().err == "error: --n must be at least 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["thermo", "simulate", "exact"])
 def test_nan_temperature_rejected(tmp_path, capsys, command):
     out = tmp_path / "x.csv"
@@ -226,11 +235,17 @@ def test_exact_caps_the_size_before_reading_the_start(tmp_path, capsys, monkeypa
     for name in ("build_generator", "decode_state", "uniform_distribution", "point_mass"):
         monkeypatch.setattr(cli, name, _never)
     out = tmp_path / "x.csv"
-    for n in (15, 40):
-        assert main(["exact", "--n", str(n), "--gamma", "0.5", "--init", init,
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: exact operations capped at n=14, got {n}\n"
-        assert list(tmp_path.iterdir()) == []
+    assert main(["exact", "--n", "40", "--gamma", "0.5", "--init", init, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: exact operations capped at n=14, got 40\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_rejects_negative_end_time(capsys):
+    assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"
+    for t_end in ("inf", "nan"):
+        assert main(["simulate", "--n", "3", "--gamma", "0.5", "--t-end", t_end]) == 2
+        assert capsys.readouterr().err == "error: --t-end must be finite\n"
 
 
 def test_simulate_rejects_a_step_budget_past_float_range(tmp_path, capsys, monkeypatch):
@@ -262,21 +277,37 @@ def test_sweep_takes_a_negative_range_after_its_flag(tmp_path, via_config):
         "-3", "-1.5", "0", "1.5", "3"]
 
 
+@pytest.mark.parametrize("via_config", [False, True])
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n", "3", "--gamma", "0.5"],
     ["exact", "--n", "3", "--gamma", "0.5"],
     ["verify", "--fast"],
 ])
-def test_negative_seed_rejected_by_name(tmp_path, capsys, monkeypatch, argv):
-    # numpy rejected it with `expected non-negative integer`, naming no flag;
-    # a seed given as a flag is a row of the integer floor table
+def test_negative_seed_rejected_by_name(tmp_path, capsys, monkeypatch, argv, via_config):
+    # numpy rejected it with `expected non-negative integer`, naming no flag
     monkeypatch.setattr(cli, "run_verify", _never)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = -1\n")
+    if via_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = ["--seed", "-1"]
     out = tmp_path / "x.csv"
-    assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+    assert main(argv + extra + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --seed must be nonnegative\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--n", "2", "--coupling", "1", "--temperature", "1"],
+    ["simulate", "--n", "3", "--gamma", "0.5"],
+    ["exact", "--n", "3", "--gamma", "0.5"],
+    ["verify", "--fast"],
+    ["sweep", "--sweep-n", "1:2", "--sweep-betaj", "0:1:2"],
+])
+def test_negative_digits_rejected(argv, capsys):
+    assert main(argv + ["--digits", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --digits must be nonnegative\n"
 
 
 _COMMON = ["--config", "--digits", "--out"]
@@ -596,6 +627,15 @@ def test_exact_zero_end_time_repeats_start(tmp_path):
     assert rows == expected * 5
 
 
+def test_exact_rejects_negative_end_time(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for t_end, message in (("-1", "nonnegative"), ("inf", "finite"), ("nan", "finite")):
+        assert main(["exact", "--n", "3", "--gamma", "0.5", "--t-end", t_end,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --t-end must be {message}\n"
+        assert not out.exists() and not (tmp_path / "x.summary.csv").exists()
+
+
 def test_exact_rejects_a_window_past_the_product_cap(tmp_path, capsys, monkeypatch):
     # a step of 1e299 time units would need about 1.75e299 kernel products,
     # so it is refused before any product and before any file or line of
@@ -623,19 +663,21 @@ def test_exact_writes_each_propagated_vector_as_given(tmp_path, monkeypatch):
     assert _data_lines(tmp_path / "dist.summary.csv")[1:] == ["0,1e-18", "1,1e-18"]
 
 
-_BAD_END_TIMES = [("-1", "nonnegative"), ("-1e3", "nonnegative"), ("-inf", "nonnegative"),
-                  ("inf", "finite"), ("nan", "finite")]
-
-
 @pytest.mark.parametrize("command", ["simulate", "exact"])
-@pytest.mark.parametrize("t_end, message", _BAD_END_TIMES, ids=[t for t, _ in _BAD_END_TIMES])
-def test_negative_end_time_reaches_the_cli_check(tmp_path, capsys, command, t_end, message):
+@pytest.mark.parametrize("t_end", ["-1", "-1e3", "-inf"])
+def test_negative_end_time_reaches_the_cli_check(tmp_path, capsys, command, t_end):
     # argparse on its own reads -1e3 and -inf as options, not as values
     out = tmp_path / "x.csv"
     assert main([command, "--n", "3", "--gamma", "0.5", "--t-end", t_end,
                  "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: --t-end must be {message}\n"
+    assert capsys.readouterr().err == "error: --t-end must be nonnegative\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_exact_rejects_oversized_chain(capsys):
+    assert main(["exact", "--n", "15", "--gamma", "0.5"]) == 2
+    assert main(["exact", "--n", "0", "--gamma", "0.5"]) == 2
+    assert "error: --n must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -42,7 +42,7 @@ from voterchain.dynamics import (
     uniform_distribution,
 )
 from voterchain.thermo import gibbs_probabilities
-from voterchain.verify import check_detailed_balance
+from voterchain.verify import check_detailed_balance, poisson_z
 
 
 def test_rates_unbiased_coin():
@@ -443,6 +443,18 @@ def test_stationary_solve_failure_raises(back):
             stationary_distributions(gen)
 
 
+def test_detailed_balance_residual_small():
+    worst = 0.0
+    for n in range(2, 9):
+        for bj in (-2.0, -0.5, 0.5, 1.0, 2.0):
+            for boundary in (Boundary.PERIODIC, Boundary.OPEN):
+                params = ModelParams.from_physical(bj, 1.0, boundary=boundary)
+                # from_physical(bj, 1.0) forms J/(kT) = bj / 1.0 = bj exactly
+                energies = state_energies(n, bj, boundary)
+                worst = max(worst, flux_residual(build_generator(n, params), energies))
+    assert worst <= 1e-12
+
+
 @pytest.mark.parametrize("boundary", list(Boundary))
 def test_detailed_balance_residual_reads_the_coupling_gamma_encodes(boundary):
     # the weights are those at J/(kT) = artanh(gamma)/2, so params built
@@ -736,6 +748,16 @@ def test_kmc_rejects_end_times_outside_zero_to_infinity():
     for t_end in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             kmc_sample(SpinTape.alternating(4), params, t_end, 0)
+
+
+def test_kmc_event_counts_are_poisson():
+    # single unbiased cell: flips arrive at rate 1/2
+    params = ModelParams.from_gamma(0.0)
+    tape = SpinTape.uniform(1)
+    children = np.random.SeedSequence(2024).spawn(4000)
+    counts = np.array([len(kmc_sample(tape, params, 10.0, c).events) for c in children],
+                      dtype=np.float64)
+    assert poisson_z(counts, 5.0) < 3.0
 
 
 def _replayed_events(tape, params, t_end, seed):

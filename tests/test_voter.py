@@ -132,15 +132,18 @@ def test_run_until_halt_records_every_flip():
 
 
 def test_consensus_split_two_cells():
-    # the split itself is the consensus_split row, run at 10,000 trajectories
-    # by acceptance criterion 07
     params = ModelParams.from_gamma(1.0)
     tape = SpinTape([1, -1])
-    for child in np.random.SeedSequence(41).spawn(2000):
+    ups = 0
+    trials = 2000
+    for child in np.random.SeedSequence(41).spawn(trials):
         outcome = TuringVoter(tape, params, child).run_until_halt(50)
         assert outcome.halted
         # a mixed 2-ring flips whichever cell is selected, so exactly one step
         assert outcome.steps == 1
+        ups += outcome.consensus_symbol == 1
+    sigma = 0.5 / math.sqrt(trials)
+    assert abs(ups / trials - 0.5) <= 3 * sigma
 
 
 def test_distribution_after_poisson_step_count_matches_exact():
