@@ -244,6 +244,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
         vectors = _stepped(p0, gen, times)
     except ValueError as exc:  # a window past the product cap; nothing is written
         raise ValueError(f"--t-end {args.t_end:g} too large: {exc}") from exc
+    del gen  # the walk holds only the kernel
     m = magnetization_vector(n)
     d = args.digits
     # one template per time block: the time goes in once per block by

@@ -89,12 +89,18 @@ class GeneratorMatrix:
         """The largest exit rate Lambda and the kernel K = I + G/Lambda,
         stored by rows for fast products.  Every entry of K is nonnegative,
         since no exit rate exceeds Lambda, and every column sums to 1.  An
-        operator that no state leaves has Lambda = 0 and K = I."""
-        from scipy import sparse
-
+        operator that no state leaves has Lambda = 0 and K = I.  K is formed
+        by one conversion of G to rows, scaled in place by 1/Lambda, with 1
+        added on the diagonal; a row with no stored diagonal, such as an
+        absorbing state's, gets one, and a diagonal that reaches 0 stays
+        stored, so products match those of the sum I + G/Lambda bit for
+        bit."""
         rate = float(np.abs(self.matrix.diagonal()).max())
-        eye = sparse.dia_array((np.ones((1, self.dim)), [0]), shape=(self.dim, self.dim))
-        return rate, ((self.matrix / rate if rate else self.matrix) + eye).tocsr()
+        kernel = self.matrix.tocsr(copy=True)
+        if rate:
+            kernel.data *= 1.0 / rate
+        kernel.setdiag(kernel.diagonal() + 1.0)
+        return rate, kernel
 
 
 @dataclass(frozen=True)
@@ -116,8 +122,8 @@ def rates(spins, params: ModelParams) -> np.ndarray:
     """Flip rate w_i of every site, over the last axis of a +-1 array: one
     tape gives its n rates, spin_table(n) the (2^n, n) table, and any stack
     one row per tape, each rate looked up by the site's neighbourhood code."""
-    b = np.asarray(spins) > 0
-    codes = 4 * np.roll(b, 1, axis=-1) + 2 * b + np.roll(b, -1, axis=-1)
+    b = (np.asarray(spins) > 0).view(np.uint8)
+    codes = np.roll(b, 1, axis=-1) << 2 | b << 1 | np.roll(b, -1, axis=-1)
     n = b.shape[-1]
     table = np.array(_rate_lookup(n, params.gamma, params.end))
     return table[np.arange(n), codes]
@@ -199,16 +205,17 @@ def build_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     rates.  Column a holds its n flips, to the n distinct states a ^ 2^i,
     and its diagonal, so the compressed columns are written directly and
     only each column's rows need sorting; the zero rates at gamma = +-1
-    are dropped."""
+    are dropped.  The row indices and column pointers are 32-bit: at the
+    n = 14 cap there are at most 15 * 2^14 = 245,760 entries."""
     _check_exact_size(n)
     from scipy import sparse
 
     w = rates(spin_table(n), params)
     dim = 2**n
-    idx = np.arange(dim, dtype=np.int64)
-    rows = np.column_stack([idx ^ (1 << i) for i in range(n)] + [idx])
+    flips = np.array([1 << i for i in range(n)] + [0], dtype=np.int32)
+    rows = np.arange(dim, dtype=np.int32)[:, None] ^ flips
     data = np.column_stack([w, -w.sum(axis=1)])
-    indptr = (n + 1) * np.arange(dim + 1, dtype=np.int64)
+    indptr = (n + 1) * np.arange(dim + 1, dtype=np.int32)
     g = sparse.csc_array((data.ravel(), rows.ravel(), indptr), shape=(dim, dim))
     g.sort_indices()
     g.eliminate_zeros()

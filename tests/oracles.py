@@ -4,9 +4,10 @@ Each one computes a quantity by a route the package does not take: the flip
 rates of many tapes by the float formula on padded neighbours, the
 single-flip flux balance of a rate table site by site, the energy of one
 tape by its bonds, the neighbourhood codes of many tapes at once, the
-one-step kernel of the discrete machine, the action of exp(G t) by a
-truncated Taylor series, the transfer-matrix partition functions in log
-space, and an event-log row composed field by field.
+one-step kernel of the discrete machine, the uniformization kernel as a
+sum of sparse operators, the action of exp(G t) by a truncated Taylor
+series, the transfer-matrix partition functions in log space, and an
+event-log row composed field by field.
 """
 
 import math
@@ -69,7 +70,7 @@ def coo_generator(n: int, params: ModelParams) -> GeneratorMatrix:
     zero rates at gamma = +-1 are dropped."""
     w = rates(spin_table(n), params)
     dim = 2**n
-    idx = np.arange(dim, dtype=np.int64)
+    idx = np.arange(dim, dtype=np.int32)
     rows = np.concatenate([idx ^ (1 << i) for i in range(n)] + [idx])
     cols = np.tile(idx, n + 1)
     data = np.concatenate([w.T.reshape(-1), -w.sum(axis=1)])
@@ -105,6 +106,15 @@ def uniformized_kernel(gen: GeneratorMatrix, n: int) -> sparse.csc_array:
     a site uniformly and flips with probability w_i; K^j averaged over a
     Poisson(n t) step count reproduces exp(G t)."""
     return sparse.identity(gen.dim, format="csc") + gen.matrix * (1.0 / n)
+
+
+def summed_kernel(gen: GeneratorMatrix) -> tuple[float, sparse.csr_array]:
+    """The largest exit rate Lambda and K = I + G/Lambda formed as the sum
+    of G scaled by 1/Lambda and a diagonal identity, converted to rows
+    (K = I when Lambda = 0); the sum drops every zero it meets."""
+    rate = float(np.abs(gen.matrix.diagonal()).max())
+    eye = sparse.dia_array((np.ones((1, gen.dim)), [0]), shape=(gen.dim, gen.dim))
+    return rate, ((gen.matrix * (1.0 / rate) if rate else gen.matrix) + eye).tocsr()
 
 
 def expm_action(gen: GeneratorMatrix, t: float, p0: np.ndarray) -> np.ndarray:

@@ -12,8 +12,6 @@ report and this gate can never drift apart.
 
 import time
 
-import numpy as np
-
 from voterchain.cli import main
 from voterchain.verify import (
     check_closedform_entropy,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (coo_generator, expm_action, flip_rates, flux_residual_by_sites,
-                     neighbourhoods, uniformized_kernel)
+                     neighbourhoods, summed_kernel, uniformized_kernel)
 from scipy import sparse
 from scipy.linalg import expm
 
@@ -713,6 +713,43 @@ def test_uniformized_kernel_is_stochastic():
         k = uniformized_kernel(gen, 3).toarray()
         assert np.abs(k.sum(axis=0) - 1.0).max() <= 1e-12
         assert k.min() >= 0.0
+
+
+def _built(n, gamma, boundary):
+    return lambda: build_generator(n, ModelParams.from_gamma(gamma, boundary=boundary))
+
+
+_KERNEL_INPUTS = {
+    f"n={n}-{boundary.value}-gamma={gamma}": _built(n, gamma, boundary)
+    for n in (1, 2, 3, 5, 8) for boundary in Boundary
+    for gamma in (-1.0, -0.6, 0.0, 0.5, 0.99, 1.0)
+} | {
+    "empty-2x2": lambda: GeneratorMatrix(sparse.csc_array((2, 2))),
+    "stored-zero-diagonal-3x3": lambda: GeneratorMatrix(
+        sparse.csc_array((np.zeros(3), (range(3), range(3))))),
+    "lumped-ring": lambda: _rotation_lumped(
+        build_generator(2, ModelParams(gamma=math.tanh(1.4))), 2)[0],
+}
+
+
+@pytest.mark.parametrize("make", _KERNEL_INPUTS.values(), ids=_KERNEL_INPUTS.keys())
+def test_uniformized_kernel_matches_summed_construction(make):
+    # K formed in place from one conversion of G against the sum of G/Lambda
+    # and I: the same Lambda, the same entries once the stored zeros the
+    # sum drops are dropped, and 30 products equal to the bit
+    gen = make()
+    rate, kernel = gen._uniformized
+    want_rate, want = summed_kernel(gen)
+    assert rate == want_rate
+    got = kernel.copy()
+    got.eliminate_zeros()
+    want.eliminate_zeros()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    p = q = np.random.default_rng(gen.dim).dirichlet(np.ones(gen.dim))
+    for _ in range(30):
+        p, q = kernel @ p, want @ q
+        assert p.tobytes() == q.tobytes()
 
 
 def test_kmc_trivial_cases():
