@@ -947,11 +947,10 @@ def test_exact_output_is_written_without_a_copy_of_it(tmp_path):
 
 
 def test_exact_at_the_site_cap_holds_each_operator_once(tmp_path):
-    # the benchmark's exact grid (n = 14, seed-1 start): G is assembled with
-    # 32-bit indices, K is one conversion of it, and G is freed before the
-    # walk, so the traced peak after a warm-up call is G and K at once,
-    # about 6.6 MB; the sum I + G/Lambda of two 64-bit copies, with G kept
-    # through the walk and the rows, peaked at 13.3 MB
+    # the benchmark's exact grid (n = 14, seed-1 start): with 32-bit indices,
+    # K made by one conversion of G and G freed before the walk, the traced
+    # peak after a warm-up call is G and K at once, about 6.6 MB; forming K
+    # as a sum of 64-bit copies and keeping G through the walk reaches 13 MB
     argv = ["exact", "--n", "14", "--gamma", "0.5", "--init", "index:4402", "--t-end", "3",
             "--t-steps", "4", "--digits", "9", "--seed", "1", "--out", str(tmp_path / "dist.csv")]
     assert main(argv) == 0
