@@ -17,7 +17,6 @@ override it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from collections.abc import Callable, Iterable
@@ -154,7 +153,8 @@ def _run_trajectory(payload) -> tuple[int, Outcome]:
     outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps)
     if not want_events:
         # a fresh array, not a slice, so the record's buffer is freed here
-        outcome = dataclasses.replace(outcome, flips=np.empty((0, 3), dtype=np.int64))
+        outcome = Outcome(outcome.consensus_symbol, outcome.steps, outcome.final_tape,
+                          np.empty((0, 3), dtype=np.int64))
     return sum(tape.symbols), outcome
 
 

@@ -21,6 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 
+_SYMBOLS = frozenset((-1, 1))
+_INT = frozenset((int,))
+
+
 class Boundary(Enum):
     PERIODIC = "periodic"
     OPEN = "open"
@@ -37,12 +41,19 @@ class SpinTape:
     boundary: Boundary = Boundary.PERIODIC
 
     def __post_init__(self):
-        arr = np.asarray(self.symbols)
+        symbols = self.symbols
+        # a tuple of Python ints +-1, as the package's own builders pass, is
+        # kept as it is; the types are read first, since an unhashable
+        # symbol cannot be looked up in a set
+        if (type(symbols) is tuple and symbols and {*map(type, symbols)} == _INT
+                and _SYMBOLS.issuperset(symbols)):
+            return
+        arr = np.asarray(symbols)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("tape needs at least one cell")
         # checked before the conversion to int, which would truncate 1.5
         symbols = arr.tolist()
-        if not {-1, 1}.issuperset(symbols):
+        if not _SYMBOLS.issuperset(symbols):
             raise ValueError("tape symbols must be -1 or +1")
         object.__setattr__(self, "symbols", tuple(map(int, symbols)))
 
@@ -56,11 +67,13 @@ class SpinTape:
 
     @classmethod
     def alternating(cls, n: int, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
-        return cls([(-1) ** i for i in range(n)], boundary)
+        return cls(tuple([(-1) ** i for i in range(n)]), boundary)
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator, boundary: Boundary = Boundary.PERIODIC) -> SpinTape:
-        return cls(rng.choice(np.array([-1, 1], dtype=np.int8), size=n), boundary)
+        """n symbols from one `rng.integers(0, 2, size=n)` call, 0 -> -1 and
+        1 -> +1: the draw and the values of `rng.choice([-1, 1], size=n)`."""
+        return cls(tuple([2 * b - 1 for b in rng.integers(0, 2, size=n).tolist()]), boundary)
 
 
 @dataclass(frozen=True)
@@ -135,7 +148,7 @@ def decode_state(index: int, n: int, boundary: Boundary = Boundary.PERIODIC) -> 
     """Inverse of encode_state for an n-cell tape."""
     if not 0 <= index < 2**n:
         raise ValueError(f"index {index} out of range for {n} cells")
-    return SpinTape([((index >> i) & 1) * 2 - 1 for i in range(n)], boundary)
+    return SpinTape(tuple([((index >> i) & 1) * 2 - 1 for i in range(n)]), boundary)
 
 
 @lru_cache(maxsize=32)

@@ -115,7 +115,7 @@ class Trajectory:
         s = list(self.initial.symbols)
         for _, site in self.events:
             s[site] = -s[site]
-        return SpinTape(s, self.initial.boundary)
+        return SpinTape(tuple(s), self.initial.boundary)
 
 
 def rates(spins, params: ModelParams) -> np.ndarray:

@@ -12,9 +12,11 @@ cell and its two neighbours, as the Gillespie sampler does.  It also keeps
 the number of +1 cells, which a flip moves by its new symbol, so the halt
 check is one test: the tape is uniform when that count is 0 or N.
 
-One attempt is one `step` call, and the halt check before and after each
-attempt is one `is_consensus` call; per-attempt counters wrap these two
-methods, so every attempt goes through them.  An attempt's `StepEvent` is
+One attempt is one `step` call, and one halt check is one `is_consensus`
+call: a run checks once before its first attempt and then only after an
+attempt that flipped, since a null attempt leaves the tape as it was, so a
+call of `run_until_halt` makes flips + 1 checks.  Per-attempt counters wrap
+these two methods, so every attempt and every check goes through them.  An attempt's `StepEvent` is
 one of the 4N possible (cell, flipped, symbol after) values, built once per
 N and shared by every machine, so an attempt builds no object of its own.
 
@@ -102,7 +104,7 @@ class TuringVoter:
 
     @property
     def tape(self) -> SpinTape:
-        return SpinTape(self._s, self.params.boundary)
+        return SpinTape(tuple(self._s), self.params.boundary)
 
     def is_consensus(self) -> bool:
         # a count in [0, N] is a multiple of N only at 0 and N
@@ -119,8 +121,8 @@ class TuringVoter:
     def step(self) -> StepEvent:
         """Attempt one update and return its event, a shared immutable value.
 
-        Each attempt is exactly one call of this method, and the halt check
-        that follows it one call of `is_consensus`."""
+        Each attempt is exactly one call of this method; a run follows a
+        flip, and only a flip, with one call of `is_consensus`."""
         try:
             site, u = next(self._draws)
         except StopIteration:
@@ -138,21 +140,22 @@ class TuringVoter:
         """Step until the tape is uniform (halt) or the budget runs out.
 
         Consensus is checked before the first step, so an already-uniform
-        tape halts at the current step count.  Every flip of this call is
-        recorded in the outcome's `flips`; a further call continues the run.
+        tape halts at the current step count, and again after each flip.
+        Every flip of this call is recorded in the outcome's `flips`; a
+        further call continues the run.
         """
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
         flips = array("q")
         record, step, is_consensus = flips.extend, self.step, self.is_consensus
         halted = is_consensus()
-        for _ in range(max_steps):
-            if halted:
-                break
+        for _ in range(0 if halted else max_steps):
             site, flipped, symbol = step()
             if flipped:
                 record((self.step_count, site, symbol))
-            halted = is_consensus()
+                if is_consensus():
+                    halted = True
+                    break
         table = np.frombuffer(flips, dtype=np.int64).reshape(-1, 3)
         table.flags.writeable = False
         return Outcome(consensus_symbol=self._s[0] if halted else None,

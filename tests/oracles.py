@@ -6,11 +6,13 @@ single-flip flux balance of a rate table site by site, the energy of one
 tape by its bonds, the neighbourhood codes of many tapes at once, the
 one-step kernel of the discrete machine, the uniformization kernel as a
 sum of sparse operators, the action of exp(G t) by a truncated Taylor
-series, the transfer-matrix partition functions in log space, and an
-event-log row composed field by field.
+series, the transfer-matrix partition functions in log space, an
+event-log row composed field by field, a tape's symbols validated through
+numpy alone, and the machine's run with a halt check after every attempt.
 """
 
 import math
+from array import array
 
 import numpy as np
 from scipy import sparse
@@ -18,6 +20,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from voterchain.core import Boundary, ModelParams, SpinTape, spin_table
 from voterchain.dynamics import GeneratorMatrix, rates
+from voterchain.voter import Outcome, TuringVoter
 
 LN2 = math.log(2.0)
 
@@ -157,3 +160,39 @@ def event_row(step: int, n: int, site: int, symbol: int, msum: int, digits: int)
     and the magnetization msum / n, each number formatted on its own with
     the format spec `.{digits}g` and the fields joined in an f-string."""
     return f"{format(step / n, f'.{digits}g')},{site},{symbol},{format(msum / n, f'.{digits}g')}"
+
+
+def tape_symbols(symbols) -> tuple[int, ...]:
+    """The symbols a `SpinTape` holds for `symbols`, validated through one
+    `np.asarray` of any input: a flat array of at least one cell whose
+    values are all -1 or +1 (checked before the conversion to int, which
+    would truncate 1.5), converted to a tuple of Python ints."""
+    arr = np.asarray(symbols)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("tape needs at least one cell")
+    values = arr.tolist()
+    if not {-1, 1}.issuperset(values):
+        raise ValueError("tape symbols must be -1 or +1")
+    return tuple(map(int, values))
+
+
+def run_checking_every_attempt(machine: TuringVoter, max_steps: int) -> Outcome:
+    """`machine.run_until_halt(max_steps)` with the halt check made before
+    the first attempt and after every attempt, null ones included, each
+    flip recorded as (step count, site, symbol after)."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    flips = array("q")
+    halted = machine.is_consensus()
+    for _ in range(max_steps):
+        if halted:
+            break
+        site, flipped, symbol = machine.step()
+        if flipped:
+            flips.extend((machine.step_count, site, symbol))
+        halted = machine.is_consensus()
+    table = np.frombuffer(flips, dtype=np.int64).reshape(-1, 3)
+    table.flags.writeable = False
+    tape = machine.tape
+    return Outcome(consensus_symbol=tape.symbols[0] if halted else None,
+                   steps=machine.step_count, final_tape=tape, flips=table)

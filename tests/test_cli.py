@@ -366,7 +366,8 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
 
 def test_simulate_runs_every_attempt_through_the_machine_methods(tmp_path, monkeypatch):
     # a per-layer tracer counts attempts and halt checks by wrapping these two
-    # methods on the class, so each attempt and each check must go through them
+    # methods on the class, so each attempt and each check must go through
+    # them; a run checks for a halt once at its start and after each flip
     calls = Counter()
     step, is_consensus = TuringVoter.step, TuringVoter.is_consensus
 
@@ -391,7 +392,7 @@ def test_simulate_runs_every_attempt_through_the_machine_methods(tmp_path, monke
                      "--seed", "3", "--out", str(runs)]) == 0
         steps = [int(row.split(",")[3]) for row in _data_lines(runs)[1:]]
         assert calls["step"] == sum(steps) > 0
-        assert calls["is_consensus"] == sum(steps) + len(steps)
+        assert calls["is_consensus"] == calls["flips"] + len(steps)
     rows = [line for line in _data_lines(events) if line != "time,site,new_symbol,magnetization"]
     assert calls["flips"] == len(rows) > 0
 

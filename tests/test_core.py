@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from oracles import hamiltonian
+from oracles import hamiltonian, tape_symbols
 
 from voterchain.core import (
     Boundary,
@@ -51,6 +51,59 @@ def test_tape_validation():
     tape = SpinTape([1, -1, 1], Boundary.OPEN)
     assert tape.n == 3
     assert tape.boundary is Boundary.OPEN
+
+
+# inputs of every container and dtype, accepted or not, each checked
+# against the validation through numpy alone
+TAPE_INPUTS = [
+    (1,), (-1,), (1, -1, -1, 1), (), (1, 0), (0,), (1, 2), (1.5, -1), (1.0, -1.0), (1, -1.0),
+    (True, True), (True, False), (True, -1), (np.int8(1), -1), (np.float64(-1.0), 1),
+    ("1", "-1"), ("ab",), (None, 1), ((1,), (-1,)), ((1, -1),), ([1], [-1]), ([1, -1], 1),
+    (np.array([1, -1]),), (np.array(1), -1), (1 + 0j, -1),
+    [1, -1, 1], [], [1.5], [0, 1], [[1, -1]], [True], ["1"], "1-1", "", 1, 1.5, 0,
+    np.array([1, -1, 1], dtype=np.int8), np.array([1, 0], dtype=np.int8),
+    np.array([255, 1]), np.array([257, -1]), np.array([1.0, -1.0]), np.array([1.0, -1.9]),
+    np.array([True, True]), np.array([True, False]), np.array(1), np.array(1.5),
+    np.array([[1, -1], [-1, 1]]), np.array([[1, -1]]), np.array([], dtype=np.int8),
+    np.array([], dtype=float).reshape(0, 2), np.array(["1", "-1"]),
+]
+
+
+def _constructed(make):
+    try:
+        return "ok", make()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("symbols", TAPE_INPUTS, ids=repr)
+def test_tape_accepts_and_rejects_as_the_numpy_validation(symbols):
+    # a tuple of Python ints skips numpy; every input gives the symbols, or
+    # the exception type and message, of one np.asarray validation
+    got = _constructed(lambda: SpinTape(symbols).symbols)
+    assert got == _constructed(lambda: tape_symbols(symbols))
+    if got[0] == "ok":
+        assert all(type(s) is int for s in got[1])
+
+
+@given(st.lists(st.sampled_from([1, -1, 0, 2, 1.0, -1.0, 1.5, True, False, np.int8(1),
+                                 np.float64(-1.0), "1", None]), max_size=6),
+       st.sampled_from([tuple, list]))
+def test_tape_sequences_validate_as_through_numpy(values, container):
+    symbols = container(values)
+    got = _constructed(lambda: SpinTape(symbols).symbols)
+    assert got == _constructed(lambda: tape_symbols(symbols))
+
+
+def test_random_tape_draws_as_a_choice_of_plus_minus_one():
+    # the same symbols, and the same next draw, as the former
+    # rng.choice(np.array([-1, 1], np.int8), size=n)
+    for seed in range(200):
+        for n in (1, 2, 5, 16, 64):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            tape = SpinTape.random(n, rng)
+            assert tape.symbols == tuple(reference.choice(np.array([-1, 1], np.int8), size=n).tolist())
+            assert rng.random() == reference.random()
 
 
 def test_tape_symbols_are_read_only():

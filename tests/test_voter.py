@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import uniformized_kernel
+from oracles import run_checking_every_attempt, uniformized_kernel
 
 from voterchain.core import Boundary, ModelParams, SpinTape, encode_state
 from voterchain.dynamics import build_generator, evolve_exact, point_mass, rates
@@ -200,6 +200,49 @@ def test_halt_check_tracks_uniform_tape(n, gamma, boundary, seed, steps, data):
         s = machine.tape.symbols
         assert machine.is_consensus() == (len(set(s)) == 1)
         machine.step()
+
+
+def _count_halt_checks(machine: TuringVoter) -> list[int]:
+    """Route the machine's `is_consensus` through a counter, read as [calls]."""
+    calls, check = [0], machine.is_consensus
+
+    def counted():
+        calls[0] += 1
+        return check()
+
+    machine.is_consensus = counted
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), gamma=st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)),
+       boundary=st.sampled_from(list(Boundary)), seed=st.integers(0, 2**32 - 1),
+       start=st.sampled_from([1, -1, "random"]), max_steps=st.integers(0, 2_000))
+def test_halt_checked_after_flips_only_matches_checking_every_attempt(
+        n, gamma, boundary, seed, start, max_steps):
+    # a null attempt leaves the tape as it was, so checking for a halt only
+    # after a flip gives the outcome, the continuation and the draws of a
+    # check after every attempt, with flips + 1 checks per call
+    params = ModelParams.from_gamma(gamma, boundary=boundary)
+    if start == "random":
+        tape = SpinTape.random(n, np.random.default_rng(seed), boundary)
+    else:
+        tape = SpinTape.uniform(n, start, boundary)
+    streams = np.random.default_rng(seed), np.random.default_rng(seed)
+    machine, reference = TuringVoter(tape, params, streams[0]), TuringVoter(tape, params, streams[1])
+    checks = _count_halt_checks(machine)
+    for _ in range(2):  # the second call continues the run
+        calls = checks[0]
+        got = machine.run_until_halt(max_steps)
+        want = run_checking_every_attempt(reference, max_steps)
+        assert (got.consensus_symbol, got.steps, got.final_tape) == \
+            (want.consensus_symbol, want.steps, want.final_tape)
+        assert got.flips.tolist() == want.flips.tolist()
+        assert got.flips.shape == want.flips.shape and not got.flips.flags.writeable
+        assert checks[0] - calls == len(got.flips) + 1
+    assert machine.step() == reference.step()
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state
+    assert streams[0].random() == streams[1].random()
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
