@@ -16,9 +16,10 @@ One attempt is one `step` call, and one halt check is one `is_consensus`
 call: a run checks once before its first attempt and then only after an
 attempt that flipped, since a null attempt leaves the tape as it was, so a
 call of `run_until_halt` makes flips + 1 checks.  Per-attempt counters wrap
-these two methods, so every attempt and every check goes through them.  An attempt's `StepEvent` is
-one of the 4N possible (cell, flipped, symbol after) values, built once per
-N and shared by every machine, so an attempt builds no object of its own.
+these two methods, so every attempt and every check goes through them.  An
+attempt's `StepEvent` is one of the 4N possible (cell, flipped, symbol
+after) values, built once per N and shared by every machine, so an attempt
+builds no object of its own.
 
 Random stream: the cells and uniforms of the attempts are drawn ahead, in
 refills of min(16 * 2^k, 1024) attempts for refill k = 0, 1, 2, ...  Each

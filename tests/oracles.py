@@ -12,7 +12,6 @@ numpy alone, and the machine's run with a halt check after every attempt.
 """
 
 import math
-from array import array
 
 import numpy as np
 from scipy import sparse
@@ -182,17 +181,16 @@ def run_checking_every_attempt(machine: TuringVoter, max_steps: int) -> Outcome:
     flip recorded as (step count, site, symbol after)."""
     if max_steps < 0:
         raise ValueError("max_steps must be nonnegative")
-    flips = array("q")
+    flips = []
     halted = machine.is_consensus()
     for _ in range(max_steps):
         if halted:
             break
         site, flipped, symbol = machine.step()
         if flipped:
-            flips.extend((machine.step_count, site, symbol))
+            flips.append((machine.step_count, site, symbol))
         halted = machine.is_consensus()
-    table = np.frombuffer(flips, dtype=np.int64).reshape(-1, 3)
-    table.flags.writeable = False
     tape = machine.tape
     return Outcome(consensus_symbol=tape.symbols[0] if halted else None,
-                   steps=machine.step_count, final_tape=tape, flips=table)
+                   steps=machine.step_count, final_tape=tape,
+                   flips=np.array(flips, dtype=np.int64).reshape(-1, 3))
