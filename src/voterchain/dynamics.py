@@ -330,8 +330,8 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times) -> Iterator[np.ndarray
     on the times and Lambda, so all of them are planned, and every window
     checked against the cap on one window's products, before this returns:
     a time that breaks the cap or steps back is rejected here, before the
-    first product and the first vector.  The plan keeps only each group's
-    size, and a group's windows are formed again when its walk starts, so
+    first product and the first vector.  The plan keeps each group's
+    times, and a group's windows are formed again when its walk starts, so
     a long grid holds one group's weights at a time.
     """
     p0 = np.asarray(p0, dtype=np.float64)
@@ -339,7 +339,7 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times) -> Iterator[np.ndarray
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
     rate, kernel = gen._uniformized
     times = [float(t) for t in times]
-    sizes, t_a, i = [], 0.0, 0
+    groups, t_a, i = [], 0.0, 0
     while i < len(times):
         first, weights = _window(rate, times[i] - t_a)
         size, products = 1, first + weights.size - 1
@@ -352,22 +352,21 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times) -> Iterator[np.ndarray
             if start > 0 or size >= end:
                 break
             size, products = size + 1, end
-        sizes.append(size)
+        groups.append(times[i:i + size])
         i += size
         t_a = times[i - 1]
-    return _walks(p0, kernel, rate, times, sizes)
+    return _walks(p0, kernel, rate, groups)
 
 
-def _walks(p: np.ndarray, kernel: sparse.csr_array, rate: float, times: list[float],
-           sizes: list[int]) -> Iterator[np.ndarray]:
-    """Yield the vectors of each planned group of `sizes` times in turn,
-    each group's walk starting from the last vector of the one before."""
-    t_a, i = 0.0, 0
-    for size in sizes:
-        vectors = _walk(p, kernel, [_window(rate, t - t_a) for t in times[i:i + size]])
+def _walks(p: np.ndarray, kernel: sparse.csr_array, rate: float,
+           groups: list[list[float]]) -> Iterator[np.ndarray]:
+    """Yield the vectors of each planned group of times in turn, each
+    group's walk starting from the last vector of the one before."""
+    t_a = 0.0
+    for group in groups:
+        vectors = _walk(p, kernel, [_window(rate, t - t_a) for t in group])
         yield from vectors
-        i += size
-        p, t_a = vectors[-1], times[i - 1]
+        p, t_a = vectors[-1], group[-1]
 
 
 def _walk(p: np.ndarray, kernel: sparse.csr_array,
@@ -399,20 +398,21 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     `build_generator` makes is reversible, at gamma = +-1 included: within a
     class the law follows Kolmogorov's spanning-tree construction (Kelly,
     Reversibility and Stochastic Networks, 1979, section 1.5), p(child) =
-    p(parent) * G[child, parent] / G[parent, child] along a breadth-first
-    tree, summed in logs so rates near 0 at gamma near +-1 lose no
-    precision.  A rate holds its rounding as an absolute error, so a ratio
-    is as precise as the slower rate of its pair.  The tree is therefore
-    searched only among the pairs no slower than the slowest pair that a
-    maximum spanning tree of the slower rates needs: an open chain near
-    |gamma| = 1 leaves its consensus tapes through its end cells, not
-    through interior pairs at rates of 1e-16, whose ratios carry percent
-    errors.  On a ring every pair passes, so its tree is the plain
-    breadth-first one.  It needs no linear solve.  The laws are ordered by
-    the smallest state in their class.  A class that no tree of pairs with
-    rates positive and finite both ways spans, or a law that leaves a
-    residual of G p = 0 or of the normalization above 1e-8 (as a
-    non-reversible class does), raises numpy.linalg.LinAlgError.
+    p(parent) * G[child, parent] / G[parent, child] along a spanning tree,
+    summed in logs so rates near 0 at gamma near +-1 lose no precision.  A
+    rate holds its rounding as an absolute error, so a ratio is as precise
+    as the slower rate of its pair.  The tree is therefore a maximum
+    spanning tree of the slower rates, walked breadth-first from the
+    class's smallest state: its path between any two states is a widest
+    one, whose slowest pair is as fast as on any path between them (Hu,
+    Oper. Res. 9, 898, 1961).  An open chain near |gamma| = 1 thus leaves
+    its consensus tapes through its end cells, not through interior pairs
+    at rates of 1e-16, whose ratios carry percent errors.  It needs no
+    linear solve.  The laws are ordered by the smallest state in their
+    class.  A class that no tree of pairs with rates positive and finite
+    both ways spans, or a law that leaves a residual of G p = 0 or of the
+    normalization above 1e-8 (as a non-reversible class does), raises
+    numpy.linalg.LinAlgError.
     """
     from scipy import sparse
     from scipy.sparse.csgraph import (breadth_first_order, connected_components,
@@ -440,11 +440,8 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
             # tree of the weights is a maximum one of the rates
             weight = sparse.csr_array((1.0 + np.log(slow.max(initial=1.0)) - np.log(slow),
                                        (row, col)), shape=g_c.shape)
-            bottleneck = minimum_spanning_tree(weight).data.max(initial=0.0)
-            # the breadth-first tree runs on the pairs no slower than that tree's slowest
-            weight.data[weight.data > bottleneck] = 0.0
-            weight.eliminate_zeros()
-            order, pred = breadth_first_order(weight, 0, return_predecessors=True)
+            tree = minimum_spanning_tree(weight, overwrite=True)
+            order, pred = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
             if order.size < members.size:
                 raise np.linalg.LinAlgError(
                     f"no tree of pairs with a positive finite rate both ways spans "

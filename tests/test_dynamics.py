@@ -273,8 +273,9 @@ def test_stationary_matches_gibbs():
     # rings at |beta J| = 8.8 (|gamma| within ~1e-15 of 1, consensus or
     # alternating exit rates ~1e-15) still give the Gibbs law; open chains
     # there and at |beta J| = 10, where gamma rounds to +-1, are left through
-    # their end cells at rates ~e^{-2|beta J|} taken from tanh(J/kT), and the
-    # tree runs through those, not through interior pairs at rates of 1e-16
+    # their end cells at rates ~e^{-2|beta J|} taken from tanh(J/kT); the
+    # tree is a maximum spanning tree of each pair's slower rate, so it runs
+    # through those, not through interior pairs at rates of 1e-16
     cases = [(boundary, n, bj) for boundary in Boundary
              for n, bj in ((2, 0.5), (2, -1.0), (5, 0.5), (5, -1.0), (12, 0.5), (14, 0.5))]
     cases += [(Boundary.PERIODIC, n, bj) for n in (4, 8, 12) for bj in (8.8, -8.8)]
@@ -441,6 +442,70 @@ def test_stationary_solve_failure_raises(back):
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
             stationary_distributions(gen)
+
+
+def _reversible_operator(phi, pairs):
+    """Generator whose two-way `pairs` (a, b, c) have rates c e^{(phi_b -
+    phi_a)/2} from a to b and c e^{(phi_a - phi_b)/2} back, so e^{phi}
+    balances every pair."""
+    g = np.zeros((phi.size, phi.size))
+    for a, b, c in pairs:
+        g[b, a] = c * math.exp(0.5 * (phi[b] - phi[a]))
+        g[a, b] = c * math.exp(0.5 * (phi[a] - phi[b]))
+    return g
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       transient=st.integers(0, 3), data=st.data())
+def test_stationary_laws_of_hand_built_reversible_operators(sizes, transient, data):
+    # one to three closed classes, each a random connected symmetric support
+    # on which a planted potential phi balances every pair at rates down to
+    # 1e-15, and transient states that leave into them one way; the states
+    # are shuffled so the classes interleave
+    dim = sum(sizes) + transient
+    state = data.draw(st.permutations(range(dim)))
+    phi = np.array(data.draw(st.lists(st.floats(-8.0, 8.0), min_size=dim, max_size=dim)))
+    scale = st.floats(-15.0, 0.0).map(lambda e: 10.0**e)
+    classes, pairs, taken = [], [], 0
+    for size in sizes:
+        members = state[taken:taken + size]
+        taken += size
+        links = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, size)}
+        extra = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+        links |= {(i, j) for i, j in data.draw(st.lists(extra, max_size=4)) if i < j}
+        pairs += [(members[i], members[j], data.draw(scale)) for i, j in sorted(links)]
+        classes.append(sorted(members))
+    g = _reversible_operator(phi, pairs)
+    for t in state[taken:]:
+        for target in set(data.draw(st.lists(st.sampled_from(state[:taken]), min_size=1, max_size=2))):
+            g[target, t] = data.draw(scale)
+    g -= np.diag(g.sum(axis=0))
+    laws = stationary_distributions(GeneratorMatrix(sparse.csc_array(g)))
+    classes.sort()
+    assert len(laws) == len(classes)
+    for law, members in zip(laws, classes):
+        want = np.exp(phi[members] - phi[members].max())
+        want /= want.sum()
+        assert np.abs(law[members] / want - 1.0).max() <= 1e-12
+        assert not np.delete(law, members).any()
+
+
+def test_stationary_tree_takes_the_widest_path():
+    # a triangle whose pairs 0-1 and 1-2 run at rates near 1 and balance
+    # e^{phi}, while the pair 0-2 runs at rates near 1e-17 whose ratio is 10%
+    # off, as rounding leaves the slowest rates of a chain near |gamma| = 1;
+    # e^{phi} leaves a flux error of ~1e-19 there, so it is the law.  A tree
+    # through 0-2, such as a breadth-first one over every two-way pair, puts
+    # state 2 8% off, and its residual of 0.04 raises
+    phi = np.array([0.0, 0.7, -0.4])
+    g = _reversible_operator(phi, [(0, 1, 0.9), (1, 2, 1.3), (0, 2, 1e-17)])
+    g[2, 0] *= 1.1
+    g -= np.diag(g.sum(axis=0))
+    (law,) = stationary_distributions(GeneratorMatrix(sparse.csc_array(g)))
+    want = np.exp(phi) / np.exp(phi).sum()
+    assert np.abs(law / want - 1.0).max() <= 1e-12
+    assert 0.0 < g[2, 0] * want[0] - g[0, 2] * want[2] <= 1e-18
 
 
 def test_detailed_balance_residual_small():
@@ -682,7 +747,7 @@ def test_exact_rejects_a_window_past_the_product_cap():
 
 
 def test_grid_plan_holds_no_window_weights():
-    # the plan keeps each group's size, not its Poisson weights: 30 times
+    # the plan keeps each group's times, not its Poisson weights: 30 times
     # Lambda t = 1e4 apart, each a window of ~1,700 weights, would hold
     # about 0.4 MB of them before the first product
     gen = build_generator(1, ModelParams.from_gamma(0.0))
