@@ -146,15 +146,11 @@ class _Texts(dict):
 
 def _run_trajectory(payload) -> tuple[int, Outcome]:
     """One seeded run: the start tape's symbol sum and the outcome, whose
-    flip records are kept only for an event log."""
+    flips are recorded only for an event log."""
     start, n, params, max_steps, child, want_events = payload
     rng = np.random.default_rng(child)
     tape = SpinTape.random(n, rng, params.boundary) if start == "random" else start
-    outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps)
-    if not want_events:
-        # a fresh array, not a slice, so the record's buffer is freed here
-        outcome = Outcome(outcome.consensus_symbol, outcome.steps, outcome.final_tape,
-                          np.empty((0, 3), dtype=np.int64))
+    outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps, record_flips=want_events)
     return sum(tape.symbols), outcome
 
 

@@ -428,7 +428,8 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     basis = []
     for start in np.setdiff1d(first, first[leaky]):
         members = np.flatnonzero(label == label[start])
-        g_c = g[members][:, members]
+        # a class of every state is g itself, which the slice would copy
+        g_c = g if members.size == gen.dim else g[members][:, members]
         log_p = np.zeros(members.size)
         if members.size > 1:  # a lone state's law is 1; its tree has no edges
             pairs = g_c.tocoo()

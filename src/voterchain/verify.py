@@ -320,7 +320,7 @@ def check_consensus_split(seed: int = 0, trajectories: int = 10_000) -> CheckRes
     ups = 0
     for child in children:
         machine = TuringVoter(tape, params, child)
-        outcome = machine.run_until_halt(max_steps=1000)
+        outcome = machine.run_until_halt(max_steps=1000, record_flips=False)
         if not outcome.halted:
             return _result("consensus_split", math.inf, tolerance,
                            detail="a trajectory failed to reach consensus")

@@ -19,7 +19,9 @@ call of `run_until_halt` makes flips + 1 checks.  Per-attempt counters wrap
 these two methods, so every attempt and every check goes through them.  An
 attempt's `StepEvent` is one of the 4N possible (cell, flipped, symbol
 after) values, built once per N and shared by every machine, so an attempt
-builds no object of its own.
+builds no object of its own.  The run reads only the event's `flipped`, and
+its cell and symbol after a flip; it records flips only when asked
+(`record_flips`), as an event log needs them and a halting run does not.
 
 Random stream: the cells and uniforms of the attempts are drawn ahead, in
 refills of min(16 * 2^k, 1024) attempts for refill k = 0, 1, 2, ...  Each
@@ -68,7 +70,7 @@ class Outcome:
     """How a run ended: the consensus symbol if the tape is uniform (halted),
     else None, with one (step, site, new_symbol) row per flip in the
     read-only int64 array `flips` of shape (k, 3); `step` is the step count
-    just after the flip."""
+    just after the flip.  A run that records no flips has k = 0."""
 
     consensus_symbol: int | None
     steps: int
@@ -137,13 +139,14 @@ class TuringVoter:
             return self._flipped[site][symbol]
         return self._stayed[site][s[site]]
 
-    def run_until_halt(self, max_steps: int) -> Outcome:
+    def run_until_halt(self, max_steps: int, *, record_flips: bool = True) -> Outcome:
         """Step until the tape is uniform (halt) or the budget runs out.
 
         Consensus is checked before the first step, so an already-uniform
         tape halts at the current step count, and again after each flip.
-        Every flip of this call is recorded in the outcome's `flips`; a
-        further call continues the run.
+        An attempt reads only its event's `flipped`; with `record_flips`
+        every flip of this call is recorded in the outcome's `flips`, and
+        without it `flips` is empty.  A further call continues the run.
         """
         if max_steps < 0:
             raise ValueError("max_steps must be nonnegative")
@@ -151,9 +154,9 @@ class TuringVoter:
         record, step, is_consensus = flips.extend, self.step, self.is_consensus
         halted = is_consensus()
         for _ in range(0 if halted else max_steps):
-            site, flipped, symbol = step()
-            if flipped:
-                record((self.step_count, site, symbol))
+            if (event := step()).flipped:
+                if record_flips:
+                    record((self.step_count, event.site, event.new_symbol))
                 if is_consensus():
                     halted = True
                     break

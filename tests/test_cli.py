@@ -444,18 +444,24 @@ def test_simulate_budget_zero_never_halts(tmp_path):
 
 
 def test_simulate_serial_parallel_and_rerun_identical(tmp_path):
-    args = ["simulate", "--n", "5", "--gamma", "0.6", "--init", "random",
-            "--trajectories", "80", "--max-steps", "300", "--seed", "77"]
-    paths = [tmp_path / f"s{i}.csv" for i in range(3)]
-    events = [tmp_path / f"e{i}.csv" for i in range(3)]
-    workers = ["1", "1", "4"]
-    for path, ev, w in zip(paths, events, workers):
-        assert main(args + ["--out", str(path), "--events", str(ev),
-                            "--workers", w]) == 0
-    blobs = [p.read_bytes() for p in paths]
-    assert blobs[0] == blobs[1] == blobs[2]
-    ev_blobs = [p.read_bytes() for p in events]
-    assert ev_blobs[0] == ev_blobs[1] == ev_blobs[2]
+    # the runs file is also the same without an event log, which alone makes
+    # a run record its flips, in a budgeted and in a halting model
+    for model in (["--gamma", "0.6", "--max-steps", "300"],
+                  ["--gamma", "1", "--max-steps", "100000"]):
+        args = ["simulate", "--n", "5", *model, "--init", "random",
+                "--trajectories", "80", "--seed", "77"]
+        paths = [tmp_path / f"s{i}.csv" for i in range(5)]
+        events = [tmp_path / f"e{i}.csv" for i in range(3)]
+        workers = ["1", "1", "4"]
+        for path, ev, w in zip(paths, events, workers):
+            assert main(args + ["--out", str(path), "--events", str(ev),
+                                "--workers", w]) == 0
+        for path, w in zip(paths[3:], ["1", "2"]):
+            assert main(args + ["--out", str(path), "--workers", w]) == 0
+        blobs = [p.read_bytes() for p in paths]
+        assert len(set(blobs)) == 1
+        ev_blobs = [p.read_bytes() for p in events]
+        assert ev_blobs[0] == ev_blobs[1] == ev_blobs[2]
 
 
 def test_simulate_event_log_schema(tmp_path):

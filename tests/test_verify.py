@@ -133,7 +133,7 @@ def test_consensus_split_reports_its_own_band_when_a_run_does_not_halt(monkeypat
     # whatever the count
     run_until_halt = voter.TuringVoter.run_until_halt
     monkeypatch.setattr(voter.TuringVoter, "run_until_halt",
-                        lambda self, max_steps: run_until_halt(self, 0))
+                        lambda self, max_steps, **kw: run_until_halt(self, 0, **kw))
     r = verify.check_consensus_split(0, 2_000)
     assert not r.passed and r.residual == math.inf
     assert r.tolerance == pytest.approx(1.5 / math.sqrt(2_000))

@@ -222,27 +222,32 @@ def test_halt_checked_after_flips_only_matches_checking_every_attempt(
         n, gamma, boundary, seed, start, max_steps):
     # a null attempt leaves the tape as it was, so checking for a halt only
     # after a flip gives the outcome, the continuation and the draws of a
-    # check after every attempt, with flips + 1 checks per call
+    # check after every attempt, with flips + 1 checks per call; a run that
+    # records no flips is the same run with an empty read-only flips table
     params = ModelParams.from_gamma(gamma, boundary=boundary)
     if start == "random":
         tape = SpinTape.random(n, np.random.default_rng(seed), boundary)
     else:
         tape = SpinTape.uniform(n, start, boundary)
-    streams = np.random.default_rng(seed), np.random.default_rng(seed)
-    machine, reference = TuringVoter(tape, params, streams[0]), TuringVoter(tape, params, streams[1])
+    streams = [np.random.default_rng(seed) for _ in range(3)]
+    machine, bare, reference = (TuringVoter(tape, params, rng) for rng in streams)
     checks = _count_halt_checks(machine)
     for _ in range(2):  # the second call continues the run
         calls = checks[0]
         got = machine.run_until_halt(max_steps)
+        unrecorded = bare.run_until_halt(max_steps, record_flips=False)
         want = run_checking_every_attempt(reference, max_steps)
-        assert (got.consensus_symbol, got.steps, got.final_tape) == \
-            (want.consensus_symbol, want.steps, want.final_tape)
+        for run in (got, unrecorded):
+            assert (run.halted, run.consensus_symbol, run.steps, run.final_tape) == \
+                (want.halted, want.consensus_symbol, want.steps, want.final_tape)
         assert got.flips.tolist() == want.flips.tolist()
         assert got.flips.shape == want.flips.shape and not got.flips.flags.writeable
+        assert unrecorded.flips.shape == (0, 3) and not unrecorded.flips.flags.writeable
         assert checks[0] - calls == len(got.flips) + 1
-    assert machine.step() == reference.step()
-    assert streams[0].bit_generator.state == streams[1].bit_generator.state
-    assert streams[0].random() == streams[1].random()
+    assert machine.step() == bare.step() == reference.step()
+    assert streams[0].bit_generator.state == streams[1].bit_generator.state == \
+        streams[2].bit_generator.state
+    assert streams[0].random() == streams[1].random() == streams[2].random()
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
