@@ -401,7 +401,8 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     p(parent) * G[child, parent] / G[parent, child] along a spanning tree,
     summed in logs so rates near 0 at gamma near +-1 lose no precision.  A
     rate holds its rounding as an absolute error, so a ratio is as precise
-    as the slower rate of its pair.  The tree is therefore a maximum
+    as the slower rate of its pair, the elementwise minimum of the class's
+    block of G and its transpose.  The tree is therefore a maximum
     spanning tree of the slower rates, walked breadth-first from the
     class's smallest state: its path between any two states is a widest
     one, whose slowest pair is as fast as on any path between them (Hu,
@@ -409,12 +410,11 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     its consensus tapes through its end cells, not through interior pairs
     at rates of 1e-16, whose ratios carry percent errors.  It needs no
     linear solve.  The laws are ordered by the smallest state in their
-    class.  A class that no tree of pairs with rates positive and finite
-    both ways spans, or a law that leaves a residual of G p = 0 or of the
-    normalization above 1e-8 (as a non-reversible class does), raises
-    numpy.linalg.LinAlgError.
+    class.  A class with a rate that is not finite, a class that no tree
+    of pairs with rates positive both ways spans, or a law that leaves a
+    residual of G p = 0 or of the normalization above 1e-8 (as a
+    non-reversible class does), raises numpy.linalg.LinAlgError.
     """
-    from scipy import sparse
     from scipy.sparse.csgraph import (breadth_first_order, connected_components,
                                       minimum_spanning_tree)
 
@@ -428,20 +428,21 @@ def stationary_distributions(gen: GeneratorMatrix) -> list[np.ndarray]:
     basis = []
     for start in np.setdiff1d(first, first[leaky]):
         members = np.flatnonzero(label == label[start])
-        # a class of every state is g itself, which the slice would copy
-        g_c = g if members.size == gen.dim else g[members][:, members]
+        g_c = g[members][:, members]
+        if not np.isfinite(g_c.data).all():
+            raise np.linalg.LinAlgError(f"a rate in a class of {members.size} states is not finite")
         log_p = np.zeros(members.size)
         if members.size > 1:  # a lone state's law is 1; its tree has no edges
-            pairs = g_c.tocoo()
-            row, col = pairs.row, pairs.col
-            slow = np.minimum(pairs.data, g_c[col, row])  # 0 where a rate is one-way
-            two_way = (row != col) & (0 < slow) & (slow < math.inf)
-            row, col, slow = row[two_way], col[two_way], slow[two_way]
+            # each pair's slower rate, stored by rows as the tree search reads
+            # them; a one-way pair's 0 is not stored, and the maximum, a
+            # canonical array, drops the zeroed diagonal and any rate below 0
+            slow = g_c.T.minimum(g_c)
+            slow.setdiag(0.0)
+            slow = slow.maximum(0.0)
             # a weight falling with the slower rate: the minimum spanning
             # tree of the weights is a maximum one of the rates
-            weight = sparse.csr_array((1.0 + np.log(slow.max(initial=1.0)) - np.log(slow),
-                                       (row, col)), shape=g_c.shape)
-            tree = minimum_spanning_tree(weight, overwrite=True)
+            slow.data = 1.0 + np.log(slow.data.max(initial=1.0)) - np.log(slow.data)
+            tree = minimum_spanning_tree(slow, overwrite=True)
             order, pred = breadth_first_order(tree, 0, directed=False, return_predecessors=True)
             if order.size < members.size:
                 raise np.linalg.LinAlgError(

@@ -922,6 +922,27 @@ def test_samplers_and_closed_forms_load_no_scipy(tmp_path):
         assert (tmp_path / name).read_bytes() == (ref / name).read_bytes()
 
 
+def test_package_runs_as_a_module(tmp_path):
+    # a checkout reaches the CLI as `python -m voterchain`, writing what
+    # main writes and exiting with main's status
+    src = Path(__file__).resolve().parents[1] / "src"
+    thermo = ["thermo", "--n", "8", "--coupling", "1", "--temperature", "1", "--out"]
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "voterchain", *argv],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+
+    run = module(*thermo, str(tmp_path / "module.csv"))
+    assert run.returncode == 0, run.stderr
+    assert main([*thermo, str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "module.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+    run = module("thermo", "--n", "0", "--coupling", "1", "--temperature", "1",
+                 "--out", str(tmp_path / "none.csv"))
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: --n must be at least 1")
+
+
 _PEAK_RSS = """
 import resource, sys
 from voterchain import cli

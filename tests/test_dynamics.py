@@ -432,11 +432,12 @@ def _flip_four_cycle(forward, back):
     return GeneratorMatrix(sparse.csc_array(g))
 
 
-@pytest.mark.parametrize("back", [0.0, 7.0, np.nan])
+@pytest.mark.parametrize("back", [0.0, 7.0, np.nan, np.inf])
 def test_stationary_solve_failure_raises(back):
     # one class, but not reversible: rates one way only (0.0), both ways with
     # a product of ratios around the cycle of (2/7)^4, not 1, so the tree law
-    # misses G p = 0 (7.0), or a NaN rate; each raises before any warning
+    # misses G p = 0 (7.0), or a rate that is not finite; each raises before
+    # any warning
     gen = _flip_four_cycle(2.0, back)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
