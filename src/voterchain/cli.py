@@ -21,6 +21,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
+from functools import cache
 from operator import add
 
 import numpy as np
@@ -42,6 +43,128 @@ _INT_FLOOR = {"digits": 0, "seed": 0, "n": 1, "trajectories": 0, "max_steps": 0,
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
+
+
+# the most digits at which `_Rows` writes a value itself: at 12 its slack
+# leaves about 0.2% of values to `%` as near-ties, and each further digit
+# leaves ten times as many, until from 15 the slack passes half a unit
+_CERTIFIED_DIGITS = 12
+
+
+@cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Correctly rounded float(10^k) for k = 0..308; each group of three
+    digits as four bytes, the second thousand with its trailing zeros
+    dropped; and the exponent text `e-XX` of 10^-x at index x >= 5."""
+    pow10 = np.array([float(10**k) for k in range(309)])
+    pow10.setflags(write=False)  # shared by every caller, as the others are
+    triples = [f"{i:03d}" for i in range(1000)]
+    groups = _packed(triples + [t.rstrip("0") for t in triples], "<u4")
+    tails = _packed([""] * 5 + [f"e-{x:02d}" for x in range(5, 309)], "<u8")
+    return pow10, groups, tails
+
+
+def _packed(texts: list[str], dtype: str) -> np.ndarray:
+    """Each ASCII text NUL-padded to the width of `dtype` as one read-only
+    element, so a gather of them writes their bytes."""
+    width = np.dtype(dtype).itemsize
+    return np.frombuffer(b"".join(t.encode().ljust(width, b"\0") for t in texts), dtype)
+
+
+class _Rows:
+    """`lead[i] + "%.{digits}g" % values[i]` for every i, joined by
+    newlines, where `lead` is a uint8 matrix whose NUL bytes are dropped.
+
+    Each row is laid out at a fixed width, NUL-padded, and one
+    `translate` drops the pads.  A value whose `%g` text numpy can certify
+    has its digits written here; every other value leaves the literal
+    `%.{digits}g` in its row, and one `%` over the block fills those slots
+    in order, so `%` (Gay's correctly rounded dtoa) decides every value
+    that is not certified: zeros, 1.0, values at or past 1 or below
+    10^(p - 309), negatives, non-finite values, near-ties, and every value
+    when `digits` exceeds `_CERTIFIED_DIGITS`.
+
+    A value 0 < x < 1 with p = max(digits, 1) significant digits is
+    certified when y = x * float(10^k), with k = p - 1 - floor(log10 x) and
+    10^k correctly rounded, lies farther than y 2^-50 from each edge of
+    [10^(p-1), 10^p) and from each rounding boundary of rint(y).  The two
+    roundings in y leave it within y (2u + u^2) / (1 - 2u - u^2) < y 2^-51
+    of the exact x 10^k (u = 2^-53), and the checks themselves round by at
+    most y u, so the exact mantissa then has k's exponent and rounds to
+    rint(y) whatever the tie rule.  A mantissa that rounds to 10^p carries
+    into the next decade.  The text is `0.` and up to three zeros before
+    the digits when the rounded exponent is -1 to -4, and `d.ddde-XX`
+    below, with trailing zeros dropped, as `%g` lays it out.
+    """
+
+    def __init__(self, digits: int) -> None:
+        self._precision = max(digits, 1) if digits <= _CERTIFIED_DIGITS else None
+        # the text before the first digit, by the negated exponent x of the
+        # rounded value; x = 0 marks a `%` slot, the only head when no value
+        # can be certified
+        heads = [f"%.{digits}g"]
+        if self._precision is None:
+            head = f"S{len(heads[0])}"
+        else:
+            heads += ["0.", "0.0", "0.00", "0.000"] + [""] * 304
+            head = "<u8"
+        self._heads = _packed(heads, head)
+        self._fields = [("head", head)]
+        if self._precision is not None:
+            self._groups = -(-(self._precision - 1) // 3)
+            self._fields += [("first", "u1"), ("point", "u1"),
+                             ("rest", "<u4", (self._groups,)), ("tail", "<u8")]
+
+    def __call__(self, lead: np.ndarray, values: np.ndarray) -> str:
+        rows = np.empty(values.size, [("newline", "u1"), ("lead", "u1", (lead.shape[1],)),
+                                      *self._fields])
+        rows["newline"] = 10
+        rows["newline"][:1] = 0
+        rows["lead"] = lead
+        if self._precision is None:
+            exponents = np.zeros(values.size, np.intp)
+        else:
+            exponents = self._write_digits(rows, values)
+        rows["head"] = self._heads[exponents]
+        text = rows.tobytes().translate(None, b"\0")
+        return (text % tuple(values[exponents == 0].tolist())).decode("ascii")
+
+    def _write_digits(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Write the digits and exponent of every certified value into its
+        row and return the negated exponents of the rounded values, 0 for
+        a value left to `%`."""
+        pow10, groups, tails = _digit_tables()
+        p = self._precision
+        low, high = pow10[p - 1], pow10[p]
+        with np.errstate(all="ignore"):
+            shift = p - 1 - np.floor(np.log10(x))
+            sure = (shift >= p) & (shift <= 308)
+            shift = np.where(sure, shift, p).astype(np.intp)
+            y = x * pow10[shift]
+            mantissa = np.rint(y)
+            slack = y * 2.0**-50
+            sure &= ((y - slack >= low) & (y + slack < high)
+                     & (np.abs(y - mantissa) + slack < 0.5))
+        carry = mantissa == high
+        # 0 where the value rounds to 1, whose text `%` writes
+        exponents = np.where(sure, shift - (p - 1) - carry, 0)
+        mantissa = np.where(exponents > 0, np.where(carry, low, mantissa), 0.0)
+        # the first digit, then the others as groups of three, padded with
+        # zeros to whole groups; every digit comes exactly from a double
+        first = np.floor(mantissa / low)
+        rest = (mantissa - first * low) * pow10[3 * self._groups - (p - 1)]
+        rows["first"] = np.where(exponents > 0, first + 48, 0)
+        rows["point"] = np.where((exponents >= 5) & (rest > 0), 46, 0)
+        above = 0.0
+        for j in range(self._groups):
+            scale = pow10[3 * (self._groups - 1 - j)]
+            upto = np.floor(rest / scale)
+            # a group followed only by zeros drops its own trailing zeros
+            rows["rest"][:, j] = groups[(upto - 1000 * above
+                                         + 1000 * (upto * scale == rest)).astype(np.intp)]
+            above = upto
+        rows["tail"] = tails[exponents]
+        return exponents
 
 
 def _config_line(args: argparse.Namespace) -> str:
@@ -225,7 +348,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
     """Write P(t) on the grid and its mean magnetization.  Every time's
     window is checked against the product cap before the first vector, so
     a refused --t-end writes no file and nothing on stdout; otherwise each
-    time's block of 2^n rows is written as soon as it is formatted."""
+    time's block of 2^n rows is written as soon as it is formatted.  A
+    block is one numpy pass of `_Rows` over P(t), whose text equals
+    `%.{digits}g` of every probability byte for byte; one `%` over the
+    block writes the probabilities the pass cannot certify, which at
+    --digits above 12 are all of them."""
     params = _resolve_params(args)
     n = args.n
     # the size and the start are checked before anything of size 2^n is built
@@ -243,9 +370,14 @@ def cmd_exact(args: argparse.Namespace) -> int:
     del gen  # the walk holds only the kernel
     m = magnetization_vector(n)
     d = args.digits
-    # one template per time block: the time goes in once per block by
-    # replacing its placeholder, then the probabilities fill the `%` fields
-    block = "@," + f",%.{d}g\n@,".join(map(str, range(2**n))) + f",%.{d}g"
+    # each row leads with `time,index,`: the `,index,` bytes are made once,
+    # NUL-padded to one width, and the time's bytes go before them per block
+    index = np.arange(2**n)
+    places = 10 ** np.arange(len(str(index[-1])) - 1, -1, -1)
+    indices = np.full((index.size, places.size + 2), ord(","), np.uint8)
+    indices[:, 1:-1] = np.where((index[:, None] >= places) | (places == 1),
+                                48 + index[:, None] // places % 10, 0)
+    rows = _Rows(d)
     summary_lines = _header(args) + ["time,mean_magnetization"]
 
     def dist_lines():
@@ -254,7 +386,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
         for t, p in zip(times, vectors):
             time = _fmt(t, d)
             summary_lines.append(f"{time},{_fmt(float(m @ p), d)}")
-            yield block.replace("@", time) % tuple(p.tolist())
+            stamp = np.frombuffer(time.encode(), np.uint8)
+            yield rows(np.hstack([np.broadcast_to(stamp, (index.size, stamp.size)), indices]), p)
 
     _write_text(args.out, dist_lines())
     _write_text(_summary_path(args.out), summary_lines)
@@ -464,3 +597,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+
+# `python -m voterchain.cli` runs the CLI as `python -m voterchain` does;
+# guarded, so a worker process that re-imports the main module runs nothing
+if __name__ == "__main__":
+    sys.exit(main())

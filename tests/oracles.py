@@ -7,8 +7,9 @@ tape by its bonds, the neighbourhood codes of many tapes at once, the
 one-step kernel of the discrete machine, the uniformization kernel as a
 sum of sparse operators, the action of exp(G t) by a truncated Taylor
 series, the transfer-matrix partition functions in log space, an
-event-log row composed field by field, a tape's symbols validated through
-numpy alone, and the machine's run with a halt check after every attempt.
+event-log row composed field by field, an `exact` time block filled into
+one text template by `%`, a tape's symbols validated through numpy alone,
+and the machine's run with a halt check after every attempt.
 """
 
 import math
@@ -159,6 +160,15 @@ def event_row(step: int, n: int, site: int, symbol: int, msum: int, digits: int)
     and the magnetization msum / n, each number formatted on its own with
     the format spec `.{digits}g` and the fields joined in an f-string."""
     return f"{format(step / n, f'.{digits}g')},{site},{symbol},{format(msum / n, f'.{digits}g')}"
+
+
+def exact_block(time: str, p, digits: int) -> str:
+    """One `exact` time block, the rows `time,index,probability` of every
+    state joined by newlines, from one template for all states: the time
+    put in by replacing its placeholder, then every probability filled in
+    by one `%` with `%.{digits}g`."""
+    block = "@," + f",%.{digits}g\n@,".join(map(str, range(len(p)))) + f",%.{digits}g"
+    return block.replace("@", time) % tuple(np.asarray(p, dtype=np.float64).tolist())
 
 
 def tape_symbols(symbols) -> tuple[int, ...]:
