@@ -1058,9 +1058,10 @@ def test_exact_output_is_written_without_a_copy_of_it(tmp_path):
 
 def test_exact_at_the_site_cap_holds_each_operator_once(tmp_path):
     # the benchmark's exact grid (n = 14, seed-1 start): with 32-bit indices,
-    # K made by one conversion of G and G freed before the walk, the traced
-    # peak after a warm-up call is G and K at once, about 6.6 MB; forming K
-    # as a sum of 64-bit copies and keeping G through the walk reaches 13 MB
+    # K made by one conversion of G and G freed before the walk, G and K at
+    # once take about 6.6 MB and formatting a block with K held about 7.1 MB,
+    # the traced peak after a warm-up call; forming K as a sum of 64-bit
+    # copies and keeping G through the walk reaches 13 MB
     argv = ["exact", "--n", "14", "--gamma", "0.5", "--init", "index:4402", "--t-end", "3",
             "--t-steps", "4", "--digits", "9", "--seed", "1", "--out", str(tmp_path / "dist.csv")]
     assert main(argv) == 0
