@@ -21,7 +21,7 @@ import math
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
-from functools import cache
+from functools import cache, partial
 from operator import add
 
 import numpy as np
@@ -267,17 +267,20 @@ class _Texts(dict):
         return text
 
 
-def _run_trajectory(payload) -> tuple[int, Outcome]:
-    """One seeded run: the start tape's symbol sum and the outcome, whose
-    flips are recorded only for an event log."""
-    start, n, params, max_steps, child, want_events = payload
+def _run_trajectory(start, n, params, max_steps, want_events, child) -> Outcome:
+    """One seeded run from `start`, a tape or "random"; its flips are
+    recorded only for an event log."""
     rng = np.random.default_rng(child)
     tape = SpinTape.random(n, rng, params.boundary) if start == "random" else start
-    outcome = TuringVoter(tape, params, rng).run_until_halt(max_steps, record_flips=want_events)
-    return sum(tape.symbols), outcome
+    return TuringVoter(tape, params, rng).run_until_halt(max_steps, record_flips=want_events)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Write one runs row per trajectory and, with --events, its flips.
+    Each outcome is read once, in trajectory order, as it arrives from the
+    serial `map` or the worker pool, and then dropped; both files are
+    written after the last trajectory, runs file first, so a run that fails
+    part-way writes nothing."""
     params = _resolve_params(args)
     n = args.n
     if args.max_steps is not None:
@@ -293,45 +296,43 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # read once, before any stream or worker exists
     start = "random" if args.init == "random" else _initial_tape(args.init, n, params.boundary)
     want_events = args.events is not None
+    run = partial(_run_trajectory, start, n, params, max_steps, want_events)
     children = np.random.SeedSequence(args.seed).spawn(args.trajectories)
-    payloads = [(start, n, params, max_steps, child, want_events) for child in children]
-    if args.workers > 1 and payloads:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(payloads) // (args.workers * 8))
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(_run_trajectory, payloads, chunksize=chunk))
-    else:
-        results = [_run_trajectory(p) for p in payloads]
     d = args.digits
     lines = _header(args) + ["trajectory_id,halted,consensus_symbol,steps,final_magnetization"]
-    for i, (_, out) in enumerate(results):
-        sym = "" if out.consensus_symbol is None else str(out.consensus_symbol)
-        final_m = sum(out.final_tape.symbols) / n
-        lines.append(f"{i},{'true' if out.halted else 'false'},{sym},{out.steps},{_fmt(final_m, d)}")
+    ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
+    # an event row formats only its time, with the `%g` of `_fmt`; its
+    # `,site,symbol,` text, keyed by 2 site + (symbol > 0), and its
+    # magnetization text, keyed by the symbol sum, are made the first time
+    # each is needed, at most 2N and N + 1 of them
+    number = f"%.{d}g"
+    cells = _Texts(lambda key: f",{key >> 1},{1 if key & 1 else -1},")
+    mags = _Texts(lambda msum: number % (msum / n))
+    pooled = args.workers > 1 and args.trajectories > 0
+    if pooled:
+        from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=args.workers) if pooled else nullcontext() as pool:
+        chunk = max(1, args.trajectories // (args.workers * 8))
+        for i, out in enumerate(pool.map(run, children, chunksize=chunk) if pooled
+                                else map(run, children)):
+            sym = "" if out.consensus_symbol is None else str(out.consensus_symbol)
+            final_sum = sum(out.final_tape.symbols)
+            lines.append(f"{i},{'true' if out.halted else 'false'},{sym},{out.steps},"
+                         f"{_fmt(final_sum / n, d)}")
+            if want_events:  # flips are recorded only for an event log
+                steps, sites, syms = out.flips.T
+                # whole columns at once: int64 step / N is the float that the
+                # Python ints give, since both are exact in a double; each
+                # flip's symbol sum is counted back from the final tape's, in
+                # the int64 integers a forward count from the start gives
+                times = map(number.__mod__, (steps / n).tolist())
+                texts = map(cells.__getitem__, (2 * sites + (syms > 0)).tolist())
+                msums = final_sum - 2 * syms.sum() + 2 * np.cumsum(syms)
+                rows = map(add, map(add, times, texts), map(mags.__getitem__, msums.tolist()))
+                # a trajectory's comment line and rows are held as one text
+                ev_lines.append("\n".join([f"# trajectory {i}", *rows]))
     _write_text(args.out, lines)
     if want_events:
-        # event time is step / N; the magnetization is carried from the start tape
-        ev_lines = _header(args) + ["time,site,new_symbol,magnetization"]
-        # a row formats only its time, with the `%g` of `_fmt`; its
-        # `,site,symbol,` text, keyed by 2 site + (symbol > 0), and its
-        # magnetization text, keyed by the symbol sum, are made the first
-        # time each is needed, at most 2N and N + 1 of them
-        number = f"%.{d}g"
-        cells = _Texts(lambda key: f",{key >> 1},{1 if key & 1 else -1},")
-        mags = _Texts(lambda msum: number % (msum / n))
-        for i, (msum, out) in enumerate(results):
-            ev_lines.append(f"# trajectory {i}")
-            if not len(out.flips):
-                continue
-            steps, sites, syms = out.flips.T
-            # whole columns at once: int64 step / N is the float that the
-            # Python ints give, since both are exact in a double
-            times = map(number.__mod__, (steps / n).tolist())
-            texts = map(cells.__getitem__, (2 * sites + (syms > 0)).tolist())
-            msums = map(mags.__getitem__, (msum + 2 * np.cumsum(syms)).tolist())
-            # a trajectory's rows are written as one text
-            ev_lines.append("\n".join(map(add, map(add, times, texts), msums)))
         _write_text(args.events, ev_lines)
     return 0
 
@@ -352,7 +353,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     block is one numpy pass of `_Rows` over P(t), whose text equals
     `%.{digits}g` of every probability byte for byte; one `%` over the
     block writes the probabilities the pass cannot certify, which at
-    --digits above 12 are all of them."""
+    --digits above 12 are all of them.  A grid time takes more digits than
+    --digits, up to 17, only where fewer would give two times one label."""
     params = _resolve_params(args)
     n = args.n
     # the size and the start are checked before anything of size 2^n is built
@@ -379,12 +381,17 @@ def cmd_exact(args: argparse.Namespace) -> int:
                                 48 + index[:, None] // places % 10, 0)
     rows = _Rows(d)
     summary_lines = _header(args) + ["time,mean_magnetization"]
+    # times take the fewest digits from --digits that give distinct times
+    # distinct labels; 17 digits tell any two doubles apart
+    for digits in range(d, max(d, 17) + 1):
+        labels = [_fmt(t, digits) for t in times]
+        if len(set(labels)) == len(set(times)):
+            break
 
     def dist_lines():
         yield from _header(args)
         yield "time,state_index,probability"
-        for t, p in zip(times, vectors):
-            time = _fmt(t, d)
+        for time, p in zip(labels, vectors):
             summary_lines.append(f"{time},{_fmt(float(m @ p), d)}")
             stamp = np.frombuffer(time.encode(), np.uint8)
             yield rows(np.hstack([np.broadcast_to(stamp, (index.size, stamp.size)), indices]), p)

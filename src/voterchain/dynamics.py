@@ -329,16 +329,20 @@ def _stepped(p0: np.ndarray, gen: GeneratorMatrix, times) -> Iterator[np.ndarray
     Lambda t_end + O(sqrt(Lambda t_end)) products.  The groups depend only
     on the times and Lambda, so all of them are planned, and every window
     checked against the cap on one window's products, before this returns:
-    a time that breaks the cap or steps back is rejected here, before the
-    first product and the first vector.  The plan keeps each group's
-    times, and a group's windows are formed again when its walk starts, so
-    a long grid holds one group's weights at a time.
+    a time that breaks the cap or lies below the time before it is
+    rejected here, before the first product and the first vector.  The
+    plan keeps each group's times, and a group's windows are formed again
+    when its walk starts, so a long grid holds one group's weights at a
+    time.
     """
     p0 = np.asarray(p0, dtype=np.float64)
     if p0.shape != (gen.dim,):
         raise ValueError(f"expected probability vector of length {gen.dim}, got {p0.shape}")
     rate, kernel = gen._uniformized
     times = [float(t) for t in times]
+    for before, t in zip(times, times[1:]):
+        if t < before:
+            raise ValueError(f"times must ascend: {t!r} follows {before!r}")
     groups, t_a, i = [], 0.0, 0
     while i < len(times):
         first, weights = _window(rate, times[i] - t_a)

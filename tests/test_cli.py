@@ -708,6 +708,22 @@ def test_exact_zero_end_time_repeats_start(tmp_path):
     assert rows == expected * 5
 
 
+def test_exact_time_labels_take_digits_until_distinct(tmp_path):
+    # at one digit t = 1.5 and t = 2.25 both read 2; the labels take the
+    # fewest digits from --digits that tell the times apart, and only the
+    # labels: the probabilities and magnetizations keep --digits
+    out = tmp_path / "x.csv"
+    assert main(["exact", "--n", "1", "--gamma", "0.5", "--t-end", "3", "--t-steps", "4",
+                 "--digits", "0", "--out", str(out)]) == 0
+    labels = ["0", "0.75", "1.5", "2.2", "3"]
+    rows = [row.split(",") for row in _data_lines(out)[1:]]
+    assert [time for time, _, _ in rows] == [t for t in labels for _ in range(2)]
+    assert [p for _, _, p in rows[2:4]] == ["0.2", "0.8"]
+    summary = [row.split(",") for row in _data_lines(tmp_path / "x.summary.csv")[1:]]
+    assert [time for time, _ in summary] == labels
+    assert summary[1][1] == "0.7"
+
+
 def test_exact_rejects_negative_end_time(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for t_end, message in (("-1", "nonnegative"), ("inf", "finite"), ("nan", "finite")):

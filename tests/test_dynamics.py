@@ -744,6 +744,11 @@ def test_exact_rejects_a_window_past_the_product_cap():
     # yields a vector or makes a product
     with pytest.raises(ValueError, match="over the cap of 1e\\+08"):
         _stepped(p0, gen, [0.0, 1.0, 1e300])
+    # a step back is refused too, also inside a group, whose windows are
+    # all taken from its anchor
+    for times in ([1.0, 0.5], [0.0, 1.0, 0.5]):
+        with pytest.raises(ValueError, match="times must ascend: 0\\.5 follows 1\\.0$"):
+            _stepped(p0, gen, times)
     assert counter.products == 0
 
 
