@@ -75,14 +75,17 @@ class _Rows:
     """`lead[i] + "%.{digits}g" % values[i]` for every i, joined by
     newlines, where `lead` is a uint8 matrix whose NUL bytes are dropped.
 
-    Each row is laid out at a fixed width, NUL-padded, and one
-    `translate` drops the pads.  A value whose `%g` text numpy can certify
-    has its digits written here; every other value leaves the literal
-    `%.{digits}g` in its row, and one `%` over the block fills those slots
-    in order, so `%` (Gay's correctly rounded dtoa) decides every value
-    that is not certified: zeros, 1.0, values at or past 1 or below
-    10^(p - 309), negatives, non-finite values, near-ties, and every value
-    when `digits` exceeds `_CERTIFIED_DIGITS`.
+    Each row has one layout at every digit count: newline, lead, head,
+    first digit, point, three-digit groups and exponent tail, each field
+    NUL-padded to a fixed width, and one `translate` drops the pads.  A
+    value whose `%g` text numpy can certify has its digits written here;
+    every other value leaves the literal `%.{digits}g` in its head, and
+    one `%` over the block fills those slots in order, so `%` (Gay's
+    correctly rounded dtoa) decides every value that is not certified:
+    zeros, 1.0, values at or past 1 or below 10^(p - 309), negatives,
+    non-finite values, near-ties, and every value when `digits` exceeds
+    `_CERTIFIED_DIGITS`, where the pass runs at that many digits and
+    certifies nothing.
 
     A value 0 < x < 1 with p = max(digits, 1) significant digits is
     certified when y = x * float(10^k), with k = p - 1 - floor(log10 x) and
@@ -98,22 +101,16 @@ class _Rows:
     """
 
     def __init__(self, digits: int) -> None:
-        self._precision = max(digits, 1) if digits <= _CERTIFIED_DIGITS else None
+        self._certify = digits <= _CERTIFIED_DIGITS
+        self._precision = min(max(digits, 1), _CERTIFIED_DIGITS)
+        self._groups = -(-(self._precision - 1) // 3)
         # the text before the first digit, by the negated exponent x of the
-        # rounded value; x = 0 marks a `%` slot, the only head when no value
-        # can be certified
-        heads = [f"%.{digits}g"]
-        if self._precision is None:
-            head = f"S{len(heads[0])}"
-        else:
-            heads += ["0.", "0.0", "0.00", "0.000"] + [""] * 304
-            head = "<u8"
-        self._heads = _packed(heads, head)
-        self._fields = [("head", head)]
-        if self._precision is not None:
-            self._groups = -(-(self._precision - 1) // 3)
-            self._fields += [("first", "u1"), ("point", "u1"),
-                             ("rest", "<u4", (self._groups,)), ("tail", "<u8")]
+        # rounded value; x = 0 marks a `%` slot, as wide as the slot needs
+        slot = f"%.{digits}g"
+        head = f"S{max(8, len(slot))}"
+        self._heads = _packed([slot, "0.", "0.0", "0.00", "0.000"] + [""] * 304, head)
+        self._fields = [("head", head), ("first", "u1"), ("point", "u1"),
+                        ("rest", "<u4", (self._groups,)), ("tail", "<u8")]
 
     def __call__(self, lead: np.ndarray, values: np.ndarray) -> str:
         rows = np.empty(values.size, [("newline", "u1"), ("lead", "u1", (lead.shape[1],)),
@@ -121,10 +118,7 @@ class _Rows:
         rows["newline"] = 10
         rows["newline"][:1] = 0
         rows["lead"] = lead
-        if self._precision is None:
-            exponents = np.zeros(values.size, np.intp)
-        else:
-            exponents = self._write_digits(rows, values)
+        exponents = self._write_digits(rows, values)
         rows["head"] = self._heads[exponents]
         text = rows.tobytes().translate(None, b"\0")
         return (text % tuple(values[exponents == 0].tolist())).decode("ascii")
@@ -132,13 +126,14 @@ class _Rows:
     def _write_digits(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Write the digits and exponent of every certified value into its
         row and return the negated exponents of the rounded values, 0 for
-        a value left to `%`."""
+        a value left to `%`, every one of them past `_CERTIFIED_DIGITS`; its
+        arrays are freed before the row text is made."""
         pow10, groups, tails = _digit_tables()
         p = self._precision
         low, high = pow10[p - 1], pow10[p]
         with np.errstate(all="ignore"):
             shift = p - 1 - np.floor(np.log10(x))
-            sure = (shift >= p) & (shift <= 308)
+            sure = (shift >= p) & (shift <= 308) & self._certify
             shift = np.where(sure, shift, p).astype(np.intp)
             y = x * pow10[shift]
             mantissa = np.rint(y)
@@ -474,7 +469,11 @@ def _add_model(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--boundary", choices=("periodic", "open"), default="periodic")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every `main`
+    call; parsing leaves it unchanged.  `set_defaults(func=...)` binds each
+    `cmd_*` when the parser is built."""
     parser = argparse.ArgumentParser(prog="voterchain",
                                      description="Voter-style tape machine and spin-chain toolkit")
     parser.add_argument("--version", action="version", version=f"voterchain {__version__}")

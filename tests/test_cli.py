@@ -630,6 +630,18 @@ def test_exact_benchmark_grid_equals_the_template(tmp_path, start):
     assert "\n".join(_data_lines(out)) == "\n".join(expected)
 
 
+def test_exact_wide_digit_slots_equal_the_template(tmp_path):
+    # every value at --digits 100000 is a `%.100000g` slot, 9 bytes wide
+    out = tmp_path / "dist.csv"
+    assert main(["exact", "--n", "5", "--gamma", "0.5", "--init", "index:11", "--t-end", "1.3",
+                 "--t-steps", "2", "--digits", "100000", "--out", str(out)]) == 0
+    times = np.linspace(0.0, 1.3, 3)
+    vectors = _stepped(point_mass(11, 5), build_generator(5, ModelParams.from_gamma(0.5)), times)
+    expected = ["time,state_index,probability"]
+    expected += [exact_block(f"{t:.100000g}", p, 100000) for t, p in zip(times, vectors)]
+    assert "\n".join(_data_lines(out)) == "\n".join(expected)
+
+
 def _rows(values, digits):
     return cli._Rows(digits)(np.zeros((len(values), 0), np.uint8), values)
 
@@ -677,7 +689,8 @@ def _decades():
                     + [9.9999999995e-5, 0.00099999999995, 0.99999999999, 0.5, 0.25, 0.125])
 
 
-@pytest.mark.parametrize("digits", [*range(18), 40, 400])
+# 10^5 and 10^8 give slots of 9 and 12 bytes, wider than the 8-byte head
+@pytest.mark.parametrize("digits", [*range(18), 40, 400, 10**5, 10**8])
 def test_rows_at_decade_edges_and_ties_equal_percent_formatting(digits):
     values = _decades()
     assert _rows(values, digits) == _percent_rows(values, digits)
@@ -931,6 +944,22 @@ def test_config_file_switches(tmp_path, value, tokens):
         argv = cli._apply_config_file(["verify", *config])
         assert argv == ["verify", *tokens, *config]
         assert cli.build_parser().parse_args(argv).fast is bool(tokens)
+
+
+def test_one_parser_serves_every_call_without_carrying_flags(tmp_path, monkeypatch):
+    # the parser is built once per process; each call parses into its own
+    # namespace, so neither a flag nor a config file's value reaches the next
+    asked = []
+    monkeypatch.setattr(cli, "run_verify", lambda seed, fast, inject_gamma_error: asked.append(
+        fast) or [])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fast = true\n")
+    cli.build_parser.cache_clear()
+    for first in (["--fast"], ["--config", str(cfg)]):
+        assert main(["verify", *first, "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["verify", "--out", str(tmp_path / "b.csv")]) == 0
+    assert asked == [True, False, True, False]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_config_file_errors(tmp_path):

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from voterchain import dynamics, verify, voter
+from voterchain import dynamics, thermo, verify, voter
 from voterchain.verify import CheckResult, run_verify
 
 
@@ -94,6 +94,25 @@ def _uniformized_time_one_percent_long(monkeypatch):
     monkeypatch.setattr(dynamics, "_window", lambda rate, dt: window(rate, 1.01 * dt))
 
 
+def _entropy_takes_the_calorimetric_sign(monkeypatch):
+    # entropy() drops the documented offset 2(N-1)(J/T)tanh(J/kT) and so
+    # falls below the floor wherever the coupling is nonzero
+    gap = thermo.landauer_gap
+    monkeypatch.setattr(thermo, "landauer_gap", lambda n, j, t, k=1.0: gap(n, j, t, k) - (
+        2.0 * (n - 1) * (j / t) * math.tanh(thermo._x(n, j, t, k))))
+
+
+def _ln2_high(factor):
+    # the closed forms read ln 2 scaled by `factor`; the checks keep their own
+    return lambda monkeypatch: monkeypatch.setattr(thermo, "LN2", thermo.LN2 * factor)
+
+
+def _closed_forms_read_t_to_the_1001(monkeypatch):
+    # x = J/(k T^1.001): the same at T = 1, so only a derivative in T sees it
+    x = thermo._x
+    monkeypatch.setattr(thermo, "_x", lambda n, j, t, k: x(n, j, t**1.001, k))
+
+
 MUTANTS = {
     "open_end_coupling_half_gamma": (_half_gamma_ends, ["detailed_balance", "gibbs_stationarity",
                                                         "stationary_matches_gibbs"]),
@@ -110,6 +129,14 @@ MUTANTS = {
     "poisson_weights_short_1e-6": (_poisson_weights_short_of_their_mass,
                                    ["probability_conservation", "relaxation_law"]),
     "uniformized_time_1.01": (_uniformized_time_one_percent_long, ["relaxation_law"]),
+    "entropy_calorimetric_sign": (_entropy_takes_the_calorimetric_sign,
+                                  ["closedform_entropy", "landauer_bound", "landauer_equality"]),
+    "ln2_1e-9_high": (_ln2_high(1.0 + 1e-9),
+                      ["closedform_entropy", "closedform_free_energy", "n1_equality"]),
+    "closed_forms_t_to_the_1.001": (_closed_forms_read_t_to_the_1001, ["entropy_derivative"]),
+    "ln2_ten_percent_high": (_ln2_high(1.1),
+                             ["closedform_entropy", "closedform_free_energy", "erasure_petabit",
+                              "landauer_bound", "landauer_equality", "n1_equality"]),
 }
 
 
