@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Callable, Iterable
 from contextlib import nullcontext
@@ -276,6 +277,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     serial `map` or the worker pool, and then dropped; both files are
     written after the last trajectory, runs file first, so a run that fails
     part-way writes nothing."""
+    if args.events not in (None, "-") and args.out != "-" and (
+            os.path.realpath(args.events) == os.path.realpath(args.out)):
+        raise ValueError("--events and --out name the same file")
     params = _resolve_params(args)
     n = args.n
     if args.max_steps is not None:
@@ -303,11 +307,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     number = f"%.{d}g"
     cells = _Texts(lambda key: f",{key >> 1},{1 if key & 1 else -1},")
     mags = _Texts(lambda msum: number % (msum / n))
-    pooled = args.workers > 1 and args.trajectories > 0
+    # no more processes than trajectories: the pool forks all of them at once
+    workers = min(args.workers, args.trajectories)
+    pooled = workers > 1
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=args.workers) if pooled else nullcontext() as pool:
-        chunk = max(1, args.trajectories // (args.workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) if pooled else nullcontext() as pool:
+        chunk = max(1, args.trajectories // (workers * 8))
         for i, out in enumerate(pool.map(run, children, chunksize=chunk) if pooled
                                 else map(run, children)):
             sym = "" if out.consensus_symbol is None else str(out.consensus_symbol)
@@ -528,6 +534,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_tokens(path: str) -> list[str]:
+    """The flags of a key=value file: a value as one `--key=value` token, a
+    true switch as its bare flag, a false one as nothing."""
     tokens: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for raw in fh:
@@ -540,43 +548,40 @@ def _config_tokens(path: str) -> list[str]:
             flag = "--" + key.replace("_", "-")
             if value.lower() in ("true", "yes", "on"):
                 tokens.append(flag)
-            elif value.lower() in ("false", "no", "off"):
-                continue
-            else:
-                tokens.extend([flag, value])
+            elif value.lower() not in ("false", "no", "off"):
+                tokens.append(f"{flag}={value}")
     return tokens
 
 
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-    if path is None or not argv:
-        return argv
-    return [argv[0]] + _config_tokens(path) + argv[1:]
-
-
-def _is_number(token: str) -> bool:
+    """Put the flags of the --config file right after the subcommand, so
+    the command line's own flags, parsed later, override them.  argparse
+    finds the path, so every spelling of `--config` it accepts, such as
+    `--conf F` or `--conf=F`, applies the file.  A `--config` it cannot
+    read, such as one with no value, leaves argv as it is, for the
+    subcommand's parser to report."""
     try:
-        float(token)
-    except ValueError:
-        return False
-    return True
+        path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        path = None
+    return argv if path is None else [argv[0]] + _config_tokens(path) + argv[1:]
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Join a negative value to the flag before it (`--t-end -1e3` becomes
-    `--t-end=-1e3`): a token that starts with `-` and a digit or a point, or
-    whose first `:` field is a negative number, such as `-inf` or the ranges
-    `-3:3:61` and `-inf:0:2`.  argparse takes these for options and fails
-    with its own `expected one argument` before the value is checked."""
+    """Join every token that starts with exactly one `-`, other than `-h`,
+    to a `--flag` without `=` before it: `--t-end -1e3` becomes
+    `--t-end=-1e3`, and so do ranges such as `--sweep-betaj -3:3:61` and
+    file names such as `--out -runs.csv`.  argparse takes such a token for
+    an option and fails with its own `expected one argument`.  Since `-h`
+    is the CLI's only one-dash option, no other such token is an option."""
     out: list[str] = []
     for token in argv:
-        if (out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-")
-                and (token[1:2] in tuple("0123456789.") or _is_number(token.split(":")[0]))):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and token[1:2] != "-" and token != "-h"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -586,7 +591,7 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(_attach_negative_values(_apply_config_file(argv)))
+        args = build_parser().parse_args(_apply_config_file(_attach_negative_values(argv)))
         for dest, least in _INT_FLOOR.items():
             value = getattr(args, dest, None)
             if value is not None and value < least:
@@ -599,8 +604,9 @@ def main(argv: list[str] | None = None) -> int:
             if not math.isfinite(t_end):
                 raise ValueError("--t-end must be finite")
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        # of these, only a MemoryError raised by Python itself carries no text
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

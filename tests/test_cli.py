@@ -970,6 +970,116 @@ def test_config_file_errors(tmp_path):
     assert main(["simulate", "--n", "2", "--gamma", "0", "--config", str(bad)]) == 2
 
 
+_THERMO_3 = ["thermo", "--n", "3", "--coupling", "1", "--temperature", "1"]
+
+
+@pytest.mark.parametrize("config", [["--conf", "run.cfg"], ["--conf=run.cfg"],
+                                    ["--config", "-run.cfg"]])
+def test_config_file_read_by_every_spelling_argparse_accepts(tmp_path, monkeypatch, capsys,
+                                                             config):
+    # an abbreviated --config once exited 0 and ignored its file, and a path
+    # starting with `-` was taken for an option
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / config[-1].split("=")[-1]).write_text("digits = 3\n")
+    assert main(_THERMO_3 + config) == 0
+    out = capsys.readouterr().out
+    assert "digits=3" in out.splitlines()[2]
+    assert out.splitlines()[-1].split(",")[4] == "0.964"  # gamma = tanh(1) at 3 digits
+
+
+def test_out_path_starting_with_a_dash(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(_THERMO_3 + ["--out", "-runs.csv"]) == 0
+    assert _data_lines(tmp_path / "-runs.csv")[0] == cli.THERMO_COLUMNS
+
+
+def test_config_without_a_value_reported_by_the_subcommand(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--config"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: voterchain verify ")
+    assert err.endswith("voterchain verify: error: argument --config: expected one argument\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+_BIG = str(10**400)
+
+
+@pytest.mark.parametrize("argv", [
+    ["thermo", "--n", _BIG, "--coupling", "1", "--temperature", "1"],
+    ["sweep", "--sweep-n", f"{_BIG}:{_BIG}", "--sweep-betaj", "0:1:1"],
+    ["simulate", "--n", _BIG, "--gamma", "0.5"],
+    ["simulate", "--n", "3", "--gamma", "0.5", "--trajectories", _BIG],
+    ["simulate", "--n", str(10**18), "--gamma", "0.5"],
+], ids=["thermo-n", "sweep-n", "simulate-n", "simulate-trajectories", "simulate-n-memory"])
+def test_value_too_large_for_the_machine_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # each ended in an OverflowError traceback with exit 1, or in a bare
+    # `error: ` line for a MemoryError without text
+    monkeypatch.setattr(cli, "TuringVoter", _never)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _never)
+    out = tmp_path / "big.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: \S.*\n", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("events", ["same.csv", "./same.csv"])
+def test_simulate_refuses_events_and_out_on_one_file(tmp_path, capsys, monkeypatch, events):
+    # the event log once overwrote the runs rows and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "TuringVoter", _never)
+    assert main(["simulate", "--n", "3", "--gamma", "0.5", "--out", "same.csv",
+                 "--events", events]) == 2
+    assert capsys.readouterr().err == "error: --events and --out name the same file\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_events_and_out_both_on_stdout(capsys):
+    assert main(["simulate", "--n", "3", "--gamma", "1", "--max-steps", "5",
+                 "--out", "-", "--events", "-"]) == 0
+    out = capsys.readouterr().out
+    assert "trajectory_id,halted" in out and "time,site,new_symbol,magnetization" in out
+
+
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and maps in
+    this process."""
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("trajectories, workers, size", [(1, 4, None), (2, 4, 2), (5, 3, 3)])
+def test_simulate_pool_sized_by_its_trajectories(tmp_path, monkeypatch,
+                                                 trajectories, workers, size):
+    # the pool forks every worker it is given at its first task, so one
+    # trajectory at --workers 4 forked four processes
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    files = {}
+    for w in (1, workers):
+        runs, events = tmp_path / f"runs-{w}.csv", tmp_path / f"events-{w}.csv"
+        assert main(["simulate", "--n", "6", "--gamma", "0.5", "--init", "random",
+                     "--trajectories", str(trajectories), "--max-steps", "200",
+                     "--workers", str(w), "--out", str(runs), "--events", str(events)]) == 0
+        files[w] = runs.read_bytes(), events.read_bytes()
+    assert files[1] == files[workers]
+    assert _SerialPool.sizes == ([] if size is None else [size])
+
+
 def test_unknown_init_rejected():
     assert main(["simulate", "--n", "3", "--gamma", "0", "--init", "sideways"]) == 2
 
